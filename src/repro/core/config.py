@@ -126,11 +126,11 @@ class SynthesisConfig:
     retry_attempts:
         Budget of the fault-tolerance :class:`~repro.faults.RetryPolicy` built
         by :meth:`retry_policy` — how many times a broken process pool is
-        rebuilt (then the backend degrades to inline execution), how many
+        rebuilt (past it, the stage runs its own sequential path), how many
         times a transient task failure is re-dispatched, and how many times
         the daemon's watcher re-attempts a failed hot-swap before pinning the
         last good generation.  Defaults to ``REPRO_RETRY_ATTEMPTS`` when set,
-        else 2; ``0`` disables retries (first failure degrades immediately).
+        else 2; ``0`` disables retries (the first failure falls back at once).
     retry_backoff_seconds / retry_backoff_cap_seconds:
         Base and cap of the policy's exponential backoff schedule.
 

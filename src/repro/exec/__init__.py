@@ -13,15 +13,17 @@ kind.  Request serving does not run on this pool: the
 sized by its own ``workers`` keyword, never by the spec.
 
 :class:`FanOut` (:mod:`repro.exec.fanout`) is the shared gate + chunk +
-serial-fallback skeleton both call sites run their pools through.
+serial-fallback skeleton both call sites run their pools through, one
+:meth:`FanOut.session` (one pool) per stage run.
 
 The pool is **fault-tolerant**: a broken pool is rebuilt and only the lost
-work re-dispatched, transient task failures retry under a
+work re-dispatched, and transient task failures retry under a
 :class:`~repro.faults.RetryPolicy` (the pipeline passes
 :meth:`SynthesisConfig.retry_policy`; :data:`DEFAULT_RETRY_POLICY`
-otherwise), and past the retry budget the backend completes the remaining
-work inline with a recorded ``fallback_reason`` — results stay
-byte-identical through every rung.
+otherwise).  Past the retry budget the backend raises with a recorded
+``fallback_reason`` and the stage runs its own sequential path — so results
+stay byte-identical whatever the pool does, and worker state never exists in
+the calling process.
 """
 
 from repro.exec.backend import (

@@ -15,7 +15,7 @@ import multiprocessing
 import os
 import threading
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -150,11 +150,9 @@ class ProcessBackend:
     ``initargs`` (spawn-safe: nothing is assumed to be inherited by fork), and
     task functions must be module-level so they pickle by reference.  The
     pool is created lazily on first use, so a backend that ends up running
-    nothing costs nothing.
+    nothing costs nothing.  The initializer only ever runs in a worker.
 
-    :meth:`map_blocks` (results in block order) and :meth:`map_unordered`
-    (completion order, for callers that reassemble by a key carried in the
-    result) both run through the same fault-tolerance ladder:
+    :meth:`map_blocks` runs through a two-rung fault-tolerance ladder:
 
     1. **Per-task retry** — a task failing with an exception the
        :class:`RetryPolicy` covers (transient by construction: injected
@@ -164,19 +162,16 @@ class ProcessBackend:
        in-flight futures with :class:`~concurrent.futures.BrokenExecutor`;
        the loop collects whatever finished, rebuilds the pool after backoff,
        and re-dispatches **only the lost items**.
-    3. **Inline degradation** — once pool failures exhaust the retry budget,
-       the backend stops trusting pools entirely: it runs the initializer in
-       the calling process and completes the remaining items serially, with
-       the reason recorded in :attr:`fallback_reason`.  The worker state that
-       initializer installs in the caller is its owner's to clear.
 
-    Tasks are pure, so every rung produces byte-identical results — the
-    ladder trades wall-clock for availability, never answers.  Fault
-    injection (when a :class:`~repro.faults.FaultInjector` is active) happens
-    at dispatch time in the submitting thread; recovery rungs are never
-    injected, so degradation always lands somewhere that works.  Callers
-    (:class:`~repro.exec.FanOut`) catch whatever still escapes — pickling
-    errors, a sandboxed ``/dev/shm`` — and run their own sequential path.
+    Once pool breaks exceed the retry budget the backend gives up: it records
+    why in :attr:`fallback_reason` and raises
+    :class:`~concurrent.futures.BrokenExecutor`.  Tasks are pure, so every
+    rung produces byte-identical results — the ladder trades wall-clock for
+    availability, never answers.  Fault injection (when a
+    :class:`~repro.faults.FaultInjector` is active) happens at dispatch time
+    in the submitting thread.  Callers (:class:`~repro.exec.FanOut`) catch
+    whatever escapes — an exhausted budget, pickling errors, a sandboxed
+    ``/dev/shm`` — and run their own sequential path.
     """
 
     def __init__(
@@ -200,15 +195,13 @@ class ProcessBackend:
         self._pool_lock = threading.Lock()
         self._closed = False
         self._pool_failures = 0
-        self._degraded = False
-        self._inline_initialized = False
         #: Times a broken pool was rebuilt and its lost work re-dispatched.
         self.crash_recoveries = 0
         #: Individual tasks re-run after a transient (policy-covered) failure.
         self.tasks_retried = 0
         #: Faults this backend injected on behalf of the active FaultInjector.
         self.faults_injected = 0
-        #: Why the backend degraded to inline execution (``None`` while healthy).
+        #: Why the backend gave up on pools (``None`` while within budget).
         self.fallback_reason: str | None = None
 
     def __enter__(self) -> ProcessBackend:
@@ -277,18 +270,8 @@ class ProcessBackend:
 
     # -- Recovery ladder ---------------------------------------------------------------
     def _note_pool_failure(self) -> None:
-        """One pool breakage: rebuild after backoff, or degrade past budget."""
+        """One pool breakage: drop the pool, then rebuild after backoff or raise."""
         broken = self._pool
-        self._pool_failures += 1
-        if self._pool_failures > self.retry_policy.attempts:
-            self._degraded = True
-            self.fallback_reason = (
-                f"process pool broke {self._pool_failures} time(s), "
-                f"exhausting the retry budget ({self.retry_policy.attempts}); "
-                "completing remaining work inline"
-            )
-            return
-        time.sleep(self.retry_policy.delay(self._pool_failures))
         with self._pool_lock:
             if not self._closed and self._pool is broken:
                 # Compare-and-swap: another thread may have rebuilt already,
@@ -296,39 +279,40 @@ class ProcessBackend:
                 self._pool = None
         if broken is not None:
             broken.shutdown(wait=False)
+        self._pool_failures += 1
+        if self._pool_failures > self.retry_policy.attempts:
+            self.fallback_reason = (
+                f"process pool broke {self._pool_failures} time(s), "
+                f"exhausting the retry budget ({self.retry_policy.attempts})"
+            )
+            raise BrokenExecutor(self.fallback_reason)
+        time.sleep(self.retry_policy.delay(self._pool_failures))
         self.crash_recoveries += 1
 
-    def _ensure_inline_initialized(self) -> None:
-        """Run the worker initializer in this process (degraded mode only).
+    def map_blocks(
+        self, fn: Callable[[Any], Any], blocks: Sequence[Any]
+    ) -> list[Any]:
+        """Apply ``fn`` to every block; results come back **in block order**.
 
-        Initializers install worker state in module globals; the caller that
-        supplied the initializer clears that state once its call returns.
+        Tracks which blocks completed, treats a :class:`BrokenExecutor` as
+        lost work to re-dispatch on a rebuilt pool, and applies the per-task
+        retry policy to transient task failures (see the class docstring).
         """
-        if not self._inline_initialized:
-            if self._initializer is not None:
-                self._initializer(*self._initargs)
-            self._inline_initialized = True
-
-    def _run_resilient(self, fn, items: Sequence[Any]) -> Iterator[tuple[int, Any]]:
-        """Yield ``(index, result)`` in completion order, surviving pool death.
-
-        The engine behind :meth:`map_blocks` and :meth:`map_unordered`: tracks
-        which indices completed, treats a :class:`BrokenExecutor` as lost
-        work to re-dispatch, applies the per-task retry policy to transient
-        task failures, and finishes inline once the backend degrades.
-        """
-        total = len(items)
+        blocks = list(blocks)
+        results: list[Any] = [None] * len(blocks)
         completed: set[int] = set()
         task_attempts: dict[int, int] = {}
         pending: dict[Future, int] = {}
 
-        def settle(future: Future, index: int) -> tuple[str, Any]:
-            # One future's outcome -> ("ok", result) | ("lost", None) |
-            # ("retry", None); fatal task errors raise.
+        def settle(future: Future) -> bool:
+            # Record one finished future; False when its work was lost to a
+            # broken pool.  A retried task goes back to the dispatch loop;
+            # fatal task errors raise.
+            index = pending.pop(future)
             try:
-                return "ok", future.result()
+                results[index] = future.result()
             except BrokenExecutor:
-                return "lost", None
+                return False
             except BaseException as exc:
                 attempts = task_attempts.get(index, 0)
                 if attempts < self.retry_policy.attempts and self.retry_policy.retries(
@@ -337,73 +321,37 @@ class ProcessBackend:
                     task_attempts[index] = attempts + 1
                     self.tasks_retried += 1
                     time.sleep(self.retry_policy.delay(attempts + 1))
-                    return "retry", None
+                    return True
                 raise
+            completed.add(index)
+            return True
 
         try:
-            while len(completed) < total:
-                if self._degraded:
-                    self._ensure_inline_initialized()
-                    for index in range(total):
-                        if index not in completed:
-                            completed.add(index)
-                            yield index, fn(items[index])
-                    return
+            while len(completed) < len(blocks):
                 pool_broke = False
                 try:
                     in_flight = set(pending.values())
-                    for index in range(total):
+                    for index, block in enumerate(blocks):
                         if index not in completed and index not in in_flight:
-                            pending[self._dispatch(fn, items[index])] = index
+                            pending[self._dispatch(fn, block)] = index
                 except BrokenExecutor:
                     pool_broke = True
                 if pending and not pool_broke:
                     done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
                     for future in done:
-                        index = pending.pop(future)
-                        outcome, result = settle(future, index)
-                        if outcome == "ok":
-                            completed.add(index)
-                            yield index, result
-                        elif outcome == "lost":
+                        if not settle(future):
                             pool_broke = True
                 if pool_broke:
                     # A broken pool resolves every in-flight future; drain them
                     # all so finished work is kept and lost work re-dispatches.
-                    if pending:
-                        done, _ = wait(set(pending))
-                        for future in done:
-                            index = pending.pop(future)
-                            outcome, result = settle(future, index)
-                            if outcome == "ok":
-                                completed.add(index)
-                                yield index, result
+                    for future in wait(set(pending)).done:
+                        settle(future)
                     self._note_pool_failure()
         except BaseException:
             for future in pending:
                 future.cancel()
             raise
-
-    def map_blocks(
-        self, fn: Callable[[Any], Any], blocks: Sequence[Any]
-    ) -> list[Any]:
-        """Apply ``fn`` to every block; results come back **in block order**."""
-        blocks = list(blocks)
-        results: list[Any] = [None] * len(blocks)
-        for index, result in self._run_resilient(fn, blocks):
-            results[index] = result
         return results
-
-    def map_unordered(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Any]:
-        """Apply ``fn`` to every item, yielding results as they complete.
-
-        Order is unspecified; callers reassemble by a key carried in the
-        result (the scoring fan-out keys results by table-index pair).
-        """
-        for _, result in self._run_resilient(fn, list(items)):
-            yield result
 
     def close(self) -> None:
         """Shut the pool down, waiting for dispatched tasks.  Idempotent.

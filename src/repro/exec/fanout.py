@@ -8,18 +8,19 @@ steps:
 1. **gate** — don't spin up a pool unless the spec asks for one *and* there
    is enough work to amortize it (``"serial"`` never does);
 2. **chunk** — split the items into contiguous blocks sized to the worker
-   count (contiguity is what lets in-order callers recover the exact
-   sequential output by concatenation);
-3. **serial fallback** — any pool failure (pickling, sandboxed ``/dev/shm``,
-   broken executor) must degrade to the caller's sequential path, with a flag
-   so the degradation stays observable in stats and tests.
+   count (contiguity is what lets callers recover the exact sequential
+   output by concatenating block results in block order);
+3. **serial fallback** — any pool failure (an exhausted retry budget,
+   pickling, sandboxed ``/dev/shm``) hands the stage back to its own
+   sequential path, with a flag so the fallback stays observable in stats
+   and tests.
 
 :class:`FanOut` is that skeleton.  The call sites stay in charge of *what*
 runs — a module-level task plus a spawn-safe initializer that builds the
-per-worker state — so the helper takes the task/initializer per call and
-never inspects them.  A stage that fans out more than once over the same
-worker state (scoring runs two rounds) opens a :meth:`FanOut.session`
-instead, so one pool serves every call.
+per-worker state — and a stage opens one :meth:`FanOut.session` per run, so
+one pool serves every :meth:`~FanOut.run_blocks` call of that run (scoring
+runs two rounds).  The worker state lives only in the pool's workers, never
+in the calling process.
 """
 
 from __future__ import annotations
@@ -57,12 +58,13 @@ class FanOut:
     Attributes
     ----------
     fallback:
-        True once a :meth:`run_blocks` / :meth:`run_unordered` call failed and
-        the caller must compute sequentially.  Callers surface it in their own
-        stats (``BuildStats.parallel_fallback``, ``last_parallel_fallback``).
+        True once a :meth:`run_blocks` call failed and the caller must compute
+        sequentially; :meth:`should_fan_out` is False from then on.  Callers
+        surface it in their own stats (``BuildStats.parallel_fallback``,
+        ``last_parallel_fallback``).
     fallback_reason:
-        Why the last degradation happened — either the backend's own recorded
-        reason (pool retry budget exhausted) or the exception that escaped.
+        The exception that ended the pool, as ``"Type: message"`` (for an
+        exhausted retry budget, the backend's recorded reason).
     """
 
     def __init__(self, spec: str, *, retry_policy: RetryPolicy | None = None) -> None:
@@ -71,7 +73,8 @@ class FanOut:
         self.retry_policy = retry_policy
         self.fallback = False
         self.fallback_reason: str | None = None
-        self._shared: ProcessBackend | None = None
+        self._worker_setup: tuple[Callable[..., None] | None, tuple] | None = None
+        self._backend: ProcessBackend | None = None
 
     @classmethod
     def from_config(cls, config: SynthesisConfig) -> FanOut:
@@ -88,9 +91,10 @@ class FanOut:
 
         ``"serial"`` parses to one worker, so it never fans out.  The gate —
         at least two items per worker — keeps tiny workloads on the
-        sequential path where pool startup would dominate.
+        sequential path where pool startup would dominate, and a fan-out whose
+        pool has failed stays sequential.
         """
-        return self.workers > 1 and num_items >= 2 * self.workers
+        return not self.fallback and self.workers > 1 and num_items >= 2 * self.workers
 
     def chunk(self, items: Sequence[Any]) -> list[list[Any]]:
         """Split ``items`` into contiguous blocks sized for this fan-out."""
@@ -103,87 +107,43 @@ class FanOut:
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
     ) -> Iterator[FanOut]:
-        """Run every ``run_*`` call inside the block on one shared pool.
+        """The one pool lifetime: every :meth:`run_blocks` call inside shares it.
 
-        For a stage that fans out more than once over the same worker state
-        (the graph build's two scoring rounds): the workers run
-        ``initializer`` once, not once per call.  The pool starts at the
-        first call that fans out, so a block whose calls all stay sequential
-        starts none, and shuts down when the block exits.  Calls inside the
-        block ignore their own ``initializer`` / ``initargs``.
+        Each worker runs ``initializer(*initargs)`` once, whatever the number
+        of calls.  The backend is built at the first :meth:`run_blocks` call,
+        so a block whose calls all stay under the gate builds no backend and
+        starts no pool; the pool shuts down when the block exits.
         """
-        backend = ProcessBackend(
-            self.workers,
-            initializer=initializer,
-            initargs=initargs,
-            retry_policy=self.retry_policy,
-        )
-        self._shared = backend
+        self._worker_setup = (initializer, initargs)
         try:
             yield self
         finally:
-            self._shared = None
-            backend.close()
+            backend, self._backend, self._worker_setup = self._backend, None, None
+            if backend is not None:
+                backend.close()
 
     def run_blocks(
-        self,
-        task: Callable[[Any], Any],
-        blocks: Sequence[Any],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
+        self, task: Callable[[Any], Any], blocks: Sequence[Any]
     ) -> list[Any] | None:
-        """``map_blocks`` across the pool; results come back in block order.
+        """``map_blocks`` across the session's pool; results in block order.
 
         Returns ``None`` — with :attr:`fallback` set — when the pool fails for
         any reason; the caller then runs its sequential path, which computes
         the identical result.
         """
-        return self._run(
-            lambda backend: backend.map_blocks(task, blocks), initializer, initargs
-        )
-
-    def run_unordered(
-        self,
-        task: Callable[[Any], Any],
-        blocks: Sequence[Any],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> list[Any] | None:
-        """``map_unordered`` across the pool, collected in completion order.
-
-        For callers whose results carry their own keys, so ordering cannot
-        matter.  Same ``None``-plus-:attr:`fallback` contract as
-        :meth:`run_blocks`.
-        """
-        return self._run(
-            lambda backend: list(backend.map_unordered(task, blocks)),
-            initializer,
-            initargs,
-        )
-
-    def _run(
-        self,
-        call: Callable[[ProcessBackend], list[Any]],
-        initializer: Callable[..., None] | None,
-        initargs: tuple,
-    ) -> list[Any] | None:
-        backend = self._shared
+        if self._worker_setup is None:
+            raise RuntimeError("FanOut.run_blocks runs only inside FanOut.session()")
         try:
-            if backend is not None:
-                return call(backend)
-            with ProcessBackend(
-                self.workers,
-                initializer=initializer,
-                initargs=initargs,
-                retry_policy=self.retry_policy,
-            ) as backend:
-                return call(backend)
+            if self._backend is None:
+                initializer, initargs = self._worker_setup
+                self._backend = ProcessBackend(
+                    self.workers,
+                    initializer=initializer,
+                    initargs=initargs,
+                    retry_policy=self.retry_policy,
+                )
+            return self._backend.map_blocks(task, blocks)
         except Exception as exc:
             self.fallback = True
             self.fallback_reason = f"{type(exc).__name__}: {exc}"
             return None
-        finally:
-            if backend is not None and backend.fallback_reason:
-                self.fallback_reason = backend.fallback_reason

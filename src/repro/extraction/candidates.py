@@ -78,8 +78,8 @@ class ExtractionStats:
 
 
 # Per-worker extraction state, installed by the spawn-safe pool initializer.
-# Worker processes are private to one pool (one extract_tables call), so the
-# module globals cannot collide across concurrent extractions.
+# It is set only in worker processes, which are private to one pool (one
+# extract_tables call), so concurrent extractions never share it.
 _EXTRACT_CONFIG: SynthesisConfig | None = None
 _EXTRACT_INDEX: CooccurrenceIndex | None = None
 
@@ -90,12 +90,6 @@ def _init_extract_worker(
     global _EXTRACT_CONFIG, _EXTRACT_INDEX
     _EXTRACT_CONFIG = config
     _EXTRACT_INDEX = index
-
-
-def _clear_extract_worker() -> None:
-    """Drop the worker state a degraded (inline) pool installed in this process."""
-    global _EXTRACT_CONFIG, _EXTRACT_INDEX
-    _EXTRACT_CONFIG, _EXTRACT_INDEX = None, None
 
 
 def _extract_shard_in_worker(
@@ -227,35 +221,29 @@ class CandidateExtractor:
         refresh path (:mod:`repro.store.incremental`) both go through; refresh
         passes only the changed tables.
         """
-        self.last_parallel_fallback = False
         fan = FanOut.from_config(self.config)
+        shard_results = None
         if fan.should_fan_out(len(tables)):
             # Config + PMI index cross the process boundary once per worker
-            # through the initializer, not once per shard task.  map_blocks
-            # preserves shard order, so concatenation recovers the exact
+            # through the initializer, not once per shard task.  Shards come
+            # back in shard order, so concatenation recovers the exact
             # sequential candidate ordering.  A pool failure (unpicklable
-            # tables/index, environmentally broken pool) returns None and
-            # extraction runs in-process instead.
-            try:
+            # tables/index, a broken pool past its retry budget) returns None
+            # and extraction runs in-process instead.
+            with fan.session(
+                initializer=_init_extract_worker, initargs=(self.config, index)
+            ):
                 shard_results = fan.run_blocks(
-                    _extract_shard_in_worker,
-                    fan.chunk(tables),
-                    initializer=_init_extract_worker,
-                    initargs=(self.config, index),
+                    _extract_shard_in_worker, fan.chunk(tables)
                 )
-            finally:
-                # A pool that degraded to inline extraction ran the initializer
-                # here.
-                _clear_extract_worker()
-            if shard_results is None:
-                self.last_parallel_fallback = True
-            else:
-                stats = ExtractionStats()
-                candidates: list[BinaryTable] = []
-                for shard_candidates, shard_stats in shard_results:
-                    candidates.extend(shard_candidates)
-                    stats.merge(shard_stats)
-                return candidates, stats
+        self.last_parallel_fallback = fan.fallback
+        if shard_results is not None:
+            stats = ExtractionStats()
+            candidates: list[BinaryTable] = []
+            for shard_candidates, shard_stats in shard_results:
+                candidates.extend(shard_candidates)
+                stats.merge(shard_stats)
+            return candidates, stats
         stats = ExtractionStats()
         candidates = []
         for table in tables:

@@ -22,9 +22,9 @@ The injector is consulted at well-defined hook points:
 * :class:`repro.serving.watcher.ArtifactWatcher` asks per reload candidate
   whether the publish "failed" or the bytes arrived corrupted.
 
-Sites that sit on the **recovery** path — the serial oracle and a backend's
-degraded inline completion — are deliberately not injected, so every
-degradation lands somewhere that works.
+The **recovery** path — a stage's own sequential path, which it runs once its
+pool has exhausted the retry budget — is deliberately not injected, so every
+fallback lands somewhere that works.
 
 Activation is process-global (:func:`activate` / :func:`deactivate`, or the
 :func:`injected_faults` context manager), mirroring how real faults arrive:

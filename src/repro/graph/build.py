@@ -220,12 +220,6 @@ def _init_scoring_worker(
     _WORKER_PROFILES = [_WORKER_SCORER.profile(table) for table in tables]
 
 
-def _clear_scoring_worker() -> None:
-    """Drop the worker state a degraded (inline) pool installed in this process."""
-    global _WORKER_SCORER, _WORKER_PROFILES
-    _WORKER_SCORER, _WORKER_PROFILES = None, []
-
-
 def _score_pair_chunk(
     chunk: list[tuple[int, int, bool, bool, int, int]],
 ) -> tuple[list[tuple[int, int, float, float]], int, int]:
@@ -326,21 +320,30 @@ class GraphBuilder:
         tables: list[BinaryTable],
         tasks: list[tuple[int, int, bool, bool, int, int]],
     ) -> dict[tuple[int, int], tuple[float, float]]:
-        """Score blocked pairs, fanning out across the configured pool.
+        """Score blocked pairs, fanning chunks out across the build's pool.
 
-        Called once per round of a build with the build's one ``fan``; once a
-        pool has failed, the rest of the build stays sequential.
+        Called once per round of a build with the build's one ``fan``, inside
+        its :meth:`FanOut.session`, whose workers build their own scorer and
+        profiles once via the spawn-safe initializer.  Results are keyed by
+        the ``(first, second)`` pair each chunk entry carries.  Once a pool
+        has failed, the rest of the build stays sequential.
         """
         stats = self.last_build_stats
-        if not fan.fallback and fan.should_fan_out(len(tasks)):
-            results = self._score_with_backend(fan, tasks)
-            if results is not None:
-                return results
-            # Pools can fail for environmental reasons (pickling, sandboxing,
-            # missing /dev/shm); the sequential path computes the same result.
-            # The flag keeps the degradation observable in stats and tests.
-            stats.parallel_fallback = True
         results: dict[tuple[int, int], tuple[float, float]] = {}
+        if fan.should_fan_out(len(tasks)):
+            chunk_outputs = fan.run_blocks(_score_pair_chunk, fan.chunk(tasks))
+            # None: the pool failed (pickling, sandboxing, missing /dev/shm,
+            # an exhausted retry budget) and the sequential path below
+            # computes the same result.
+            if chunk_outputs is not None:
+                for chunk_results, chunk_hits, chunk_misses in chunk_outputs:
+                    stats.match_cache_hits += chunk_hits
+                    stats.match_cache_misses += chunk_misses
+                    for first, second, positive, negative in chunk_results:
+                        results[(first, second)] = (positive, negative)
+                stats.num_workers = fan.workers
+                stats.executor = fan.spec
+                return results
         hits_before = self.scorer.match_cache_hits
         misses_before = self.scorer.match_cache_misses
         profiles = [self.scorer.profile(table) for table in tables]
@@ -348,33 +351,6 @@ class GraphBuilder:
             results[task[:2]] = _score_one(self.scorer, profiles, task)
         stats.match_cache_hits += self.scorer.match_cache_hits - hits_before
         stats.match_cache_misses += self.scorer.match_cache_misses - misses_before
-        return results
-
-    def _score_with_backend(
-        self, fan: FanOut, tasks: list[tuple[int, int, bool, bool, int, int]]
-    ) -> dict[tuple[int, int], tuple[float, float]] | None:
-        """Fan chunks of blocked pairs across a :mod:`repro.exec` process pool.
-
-        Runs inside the build's :meth:`FanOut.session`, whose workers build
-        their own scorer and profiles once via the spawn-safe initializer and
-        then score picklable task envelopes.  Results are keyed by the
-        ``(first, second)`` pair each chunk entry carries, so the unordered
-        completion order cannot change the graph.  Returns ``None``
-        (with ``fan.fallback`` set) when the pool fails and the caller must
-        score sequentially.
-        """
-        chunk_outputs = fan.run_unordered(_score_pair_chunk, fan.chunk(tasks))
-        if chunk_outputs is None:
-            return None
-        stats = self.last_build_stats
-        results: dict[tuple[int, int], tuple[float, float]] = {}
-        for chunk_results, chunk_hits, chunk_misses in chunk_outputs:
-            stats.match_cache_hits += chunk_hits
-            stats.match_cache_misses += chunk_misses
-            for first, second, positive, negative in chunk_results:
-                results[(first, second)] = (positive, negative)
-        stats.num_workers = fan.workers
-        stats.executor = fan.spec
         return results
 
     # -- Public API --------------------------------------------------------------------
@@ -410,18 +386,16 @@ class GraphBuilder:
         graph = CompatibilityGraph(tables=list(tables))
         self.last_build_stats = BuildStats(num_tables=len(graph.tables))
         fan = FanOut.from_config(self.config)
-        try:
-            # One pool for both rounds: its workers profile the tables once.
-            with fan.session(
-                initializer=_init_scoring_worker,
-                initargs=(graph.tables, self.config, self.scorer.synonyms),
-            ):
-                self._score_into(
-                    graph, fan, reusable_scores, reusable_ids, reusable_components
-                )
-        finally:
-            # A pool that degraded to inline scoring ran the initializer here.
-            _clear_scoring_worker()
+        # One pool for both rounds: its workers profile the tables once.
+        with fan.session(
+            initializer=_init_scoring_worker,
+            initargs=(graph.tables, self.config, self.scorer.synonyms),
+        ):
+            self._score_into(
+                graph, fan, reusable_scores, reusable_ids, reusable_components
+            )
+        # The flag keeps a fallback to the sequential path observable.
+        self.last_build_stats.parallel_fallback = fan.fallback
         return graph
 
     def _score_into(

@@ -23,13 +23,14 @@ shard artifact — which is what keeps remote answers byte-identical
 
 Read-side failures are typed: a stream that ends mid-frame raises
 :class:`TornFrameError`, a checksum mismatch raises :class:`ChecksumError`,
-anything else structurally invalid raises :class:`ProtocolError` (all three are
-:class:`~repro.store.codec.CodecError` subclasses, so existing corruption
-handling composes).
+anything else structurally invalid — a damaged payload included — raises
+:class:`ProtocolError` (all three are :class:`~repro.store.codec.CodecError`
+subclasses, so existing corruption handling composes).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import threading
@@ -217,6 +218,27 @@ def _recv_exactly(sock, count: int, *, allow_eof: bool = False) -> bytes | None:
 _LOOKUP_OPS = ("values", "pairs")
 
 
+def _payload_decoder(decode):
+    """Raise a damaged payload's error as :class:`ProtocolError`.
+
+    Payload bodies are read with the store's :class:`ByteReader` and section
+    codec, whose typed error is the bare :class:`CodecError`; on the wire a
+    malformed payload is a protocol violation like any other.
+    """
+
+    @functools.wraps(decode)
+    def typed(payload: bytes):
+        try:
+            return decode(payload)
+        except ProtocolError:
+            raise
+        except CodecError as exc:
+            kind = decode.__name__.removeprefix("decode_")
+            raise ProtocolError(f"malformed {kind} payload: {exc}") from exc
+
+    return typed
+
+
 def encode_lookup_request(
     requests: tuple[LookupRequest, ...] | list[LookupRequest],
     *,
@@ -247,6 +269,7 @@ def encode_lookup_request(
     return writer.getvalue()
 
 
+@_payload_decoder
 def decode_lookup_request(
     payload: bytes,
 ) -> tuple[tuple[LookupRequest, ...], float | None]:
@@ -324,6 +347,7 @@ def encode_lookup_response(
     return writer.getvalue()
 
 
+@_payload_decoder
 def decode_lookup_response(
     payload: bytes,
 ) -> tuple[list[ServedResponse], int, str]:
@@ -396,6 +420,7 @@ def encode_delta_request(
     return writer.getvalue()
 
 
+@_payload_decoder
 def decode_delta_request(payload: bytes) -> dict[str, object]:
     reader = ByteReader(payload)
     seq = reader.read_uvarint()
@@ -418,6 +443,7 @@ def encode_generation(number: int) -> bytes:
     return writer.getvalue()
 
 
+@_payload_decoder
 def decode_generation(payload: bytes) -> int:
     reader = ByteReader(payload)
     number = reader.read_uvarint()
@@ -433,6 +459,7 @@ def encode_notify_request(target: int, timeout: float) -> bytes:
     return writer.getvalue()
 
 
+@_payload_decoder
 def decode_notify_request(payload: bytes) -> tuple[int, float]:
     reader = ByteReader(payload)
     target = reader.read_uvarint()

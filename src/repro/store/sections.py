@@ -174,11 +174,12 @@ def _json_load(data: bytes) -> Any:
         raise CodecError(f"section is not valid JSON: {exc}") from exc
 
 
-def _load_metadata(text: str) -> dict[str, Any]:
-    metadata = _json_load(text.encode("utf-8"))
-    if not isinstance(metadata, dict):
-        raise CodecError(f"metadata is not a JSON object: {text[:40]!r}")
-    return metadata
+def _json_object(data: bytes, what: str = "section") -> dict[str, Any]:
+    """JSON that must be an object: a JSON section's payload, or metadata."""
+    payload = _json_load(data)
+    if not isinstance(payload, dict):
+        raise CodecError(f"{what} is not a JSON object: {data[:40]!r}")
+    return payload
 
 
 def _encode_config_section(fields: Mapping[str, Any]) -> bytes:
@@ -186,7 +187,7 @@ def _encode_config_section(fields: Mapping[str, Any]) -> bytes:
 
 
 def _decode_config_section(data: bytes) -> dict[str, Any]:
-    return {"config": decode_config(_json_load(data))}
+    return {"config": decode_config(_json_object(data))}
 
 
 def _encode_fingerprints(fields: Mapping[str, Any]) -> bytes:
@@ -201,7 +202,7 @@ def _encode_fingerprints(fields: Mapping[str, Any]) -> bytes:
 
 
 def _decode_fingerprints(data: bytes) -> dict[str, Any]:
-    payload = _json_load(data)
+    payload = _json_object(data)
     return {
         "corpus_name": payload["corpus_name"],
         "corpus_fingerprint": payload["corpus_fingerprint"],
@@ -215,7 +216,7 @@ def _encode_curation(fields: Mapping[str, Any]) -> bytes:
 
 
 def _decode_curation(data: bytes) -> dict[str, Any]:
-    return {"curated_ids": list(_json_load(data)["curated_ids"])}
+    return {"curated_ids": list(_json_object(data)["curated_ids"])}
 
 
 def _encode_stats(fields: Mapping[str, Any]) -> bytes:
@@ -229,7 +230,7 @@ def _encode_stats(fields: Mapping[str, Any]) -> bytes:
 
 
 def _decode_stats(data: bytes) -> dict[str, Any]:
-    payload = _json_load(data)
+    payload = _json_object(data)
     return {
         "extraction_stats": dict(payload.get("extraction_stats", {})),
         "timings": dict(payload.get("timings", {})),
@@ -280,7 +281,9 @@ def _decode_candidates(data: bytes) -> dict[str, Any]:
         right_name = lookup(pool, reader.read_uvarint())
         source = lookup(pool, reader.read_uvarint())
         domain = lookup(pool, reader.read_uvarint())
-        metadata = _load_metadata(lookup(pool, reader.read_uvarint()))
+        metadata = _json_object(
+            lookup(pool, reader.read_uvarint()).encode("utf-8"), "metadata"
+        )
         pairs = [
             ValuePair(
                 lookup(pool, reader.read_uvarint()), lookup(pool, reader.read_uvarint())
@@ -438,7 +441,9 @@ def _decode_mappings(data: bytes) -> dict[str, Any]:
         mapping_id = lookup(pool, reader.read_uvarint())
         left_col = lookup(pool, reader.read_uvarint())
         right_col = lookup(pool, reader.read_uvarint())
-        metadata = _load_metadata(lookup(pool, reader.read_uvarint()))
+        metadata = _json_object(
+            lookup(pool, reader.read_uvarint()).encode("utf-8"), "metadata"
+        )
         pairs = [
             ValuePair(
                 lookup(pool, reader.read_uvarint()), lookup(pool, reader.read_uvarint())

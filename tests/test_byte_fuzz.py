@@ -1,9 +1,10 @@
 """Byte fuzz of the artifact container, the delta log, the journal and the wire.
 
 Arbitrary bytes, single-byte flips, truncations and splices of a valid
-container, delta-log file, journal region, wire frame and the two wire payloads
-that carry mappings (a lookup response and a delta request) go through every
-reader of those formats.  Each must return or raise its format's typed error —
+container, every section kind's payload (re-checksummed, so only the
+section decoder sees the damage), delta-log file, journal region, wire frame
+and every wire payload (lookup request and response, delta request,
+generation, notify request) go through every reader of those formats.  Each must return or raise its format's typed error —
 never ``struct.error``, ``IndexError``, ``TypeError``, ``UnicodeDecodeError``
 or a JSON error — and :func:`~repro.store.codec.iter_framed_records` must
 never yield a payload that does not match its digest.  The byte layouts themselves are pinned by
@@ -22,15 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.applications.index import MappingMatch
-from repro.applications.service import ServedResponse
+from repro.applications.service import LookupRequest, ServedResponse
 from repro.core.mapping import MappingRelationship
 from repro.net import codec as net_codec
 from repro.net.codec import ProtocolError, decode_frame, encode_frame, read_frame
-from repro.store.artifact import load_artifact
-from repro.store.codec import CodecError, frame_record
+from repro.core.config import SynthesisConfig
+from repro.core.pipeline import SynthesisPipeline
+from repro.store.artifact import load_artifact, save_artifact
+from repro.store.codec import frame_record
 from repro.store.errors import ArtifactCorruptionError, ArtifactError
 from repro.store.format import ArtifactReader, ArtifactWriter, container_end
-from repro.store.sections import encode_section
+from repro.store.sections import SECTION_ORDER, encode_section
 from repro.updates import PoolPatch, append_delta_section, read_delta_sections
 from repro.updates import journal as journal_module
 from repro.updates.deltalog import LOG_MAGIC, DeltaLog, DeltaLogError
@@ -69,6 +72,15 @@ def valid(tmp_path_factory):
         "log": (home / "valid.log").read_bytes(),
         "frame": encode_frame(net_codec.T_APPLY_DELTA, 7, request),
         "delta_request": request,
+        "lookup_request": net_codec.encode_lookup_request(
+            (
+                LookupRequest(op="values", values=("Peru", "Chile"), top_k=3),
+                LookupRequest(op="pairs", values=(("Peru", "PER"),)),
+            ),
+            deadline_remaining=1.5,
+        ),
+        "generation": net_codec.encode_generation(300),
+        "notify_request": net_codec.encode_notify_request(7, 2.5),
         "lookup_response": net_codec.encode_lookup_response(
             [
                 ServedResponse(
@@ -92,8 +104,8 @@ def valid(tmp_path_factory):
 
 
 def _mutated(data, base: bytes) -> bytes:
-    """Draw arbitrary bytes or a flip, truncation or splice of ``base``."""
-    kind = data.draw(st.sampled_from(["arbitrary", "flip", "cut", "splice"]))
+    """Draw arbitrary bytes or a flip, truncation, insertion or splice of ``base``."""
+    kind = data.draw(st.sampled_from(["arbitrary", "flip", "cut", "insert", "splice"]))
     if kind == "arbitrary":
         return data.draw(st.binary(max_size=256))
     position = data.draw(st.integers(0, len(base) - 1))
@@ -102,6 +114,8 @@ def _mutated(data, base: bytes) -> bytes:
         return base[:position] + bytes([base[position] ^ mask]) + base[position + 1 :]
     if kind == "cut":
         return base[:position]
+    if kind == "insert":
+        return base[:position] + data.draw(st.binary(min_size=1, max_size=16)) + base[position:]
     return base[:position] + data.draw(st.binary(max_size=64))
 
 
@@ -141,6 +155,36 @@ def test_checksummed_but_malformed_toc_raises_only_artifact_errors(data, entries
     body = data.draw(st.binary(max_size=32))
     blob = b"reproartifact\x00" + frame_record(json.dumps(toc).encode()) + body
     _typed_only(lambda: _read_artifact(blob), ArtifactError)
+
+
+@pytest.fixture(scope="module")
+def section_payloads(store_corpus, tmp_path_factory):
+    """The decoded payload of every section kind, from a small pipeline run."""
+    pipeline = SynthesisPipeline(
+        SynthesisConfig(
+            executor="serial", use_pmi_filter=False,
+            min_domains=1, min_mapping_size=2, min_rows=4,
+        )
+    )
+    pipeline.run(store_corpus)
+    path = tmp_path_factory.mktemp("sections") / "full.bin"
+    reader = ArtifactReader(save_artifact(pipeline.last_artifact, path).read_bytes())
+    assert tuple(reader.sections) == SECTION_ORDER
+    return {name: reader.payload_bytes(name) for name in SECTION_ORDER}
+
+
+@pytest.mark.parametrize("name", SECTION_ORDER)
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_section_payload_under_a_valid_checksum_is_typed(
+    name, data, section_payloads, valid
+):
+    # The section checksum is computed over the damaged payload, so only the
+    # section decoder can object, and it must do so as corruption.
+    writer = ArtifactWriter(valid["home"] / f"section-{name}.bin", compress=False)
+    writer.add(name, _mutated(data, section_payloads[name]))
+    reader = ArtifactReader(writer.commit().read_bytes())
+    _typed_only(lambda: reader.decode(name), ArtifactCorruptionError)
 
 
 def test_damaged_deflate_stream_under_a_valid_checksum_is_typed(tmp_path):
@@ -213,15 +257,18 @@ def test_record_chain_yields_only_verified_payloads(data, valid):
         start = end
 
 
+@pytest.mark.parametrize(
+    "kind",
+    ["lookup_request", "lookup_response", "delta_request", "generation", "notify_request"],
+)
 @FUZZ
 @given(data=st.data())
-def test_fuzzed_wire_payloads_raise_only_codec_errors(data, valid):
+def test_fuzzed_wire_payloads_raise_only_protocol_errors(kind, data, valid):
     # A payload that passed its frame checksum is decoded by the codec's
-    # payload readers, whose typed error is CodecError (ProtocolError's base).
-    response = _mutated(data, valid["lookup_response"])
-    _typed_only(lambda: net_codec.decode_lookup_response(response), CodecError)
-    request = _mutated(data, valid["delta_request"])
-    _typed_only(lambda: net_codec.decode_delta_request(request), CodecError)
+    # payload readers; on the wire a damaged one is a ProtocolError.
+    payload = _mutated(data, valid[kind])
+    decode = getattr(net_codec, f"decode_{kind}")
+    _typed_only(lambda: decode(payload), ProtocolError)
 
 
 def test_mapping_metadata_that_is_not_an_object_is_a_typed_error(tmp_path):
@@ -236,7 +283,7 @@ def test_mapping_metadata_that_is_not_an_object_is_a_typed_error(tmp_path):
     request = net_codec.encode_delta_request(
         [odd], [], seq=1, escalation_ratio=0.5, source=None
     )
-    with pytest.raises(CodecError, match="not a JSON object"):
+    with pytest.raises(ProtocolError, match="not a JSON object"):
         net_codec.decode_delta_request(request)
     response = net_codec.encode_lookup_response(
         [
@@ -250,7 +297,7 @@ def test_mapping_metadata_that_is_not_an_object_is_a_typed_error(tmp_path):
         generation=1,
         fingerprint="fp",
     )
-    with pytest.raises(CodecError, match="not a JSON object"):
+    with pytest.raises(ProtocolError, match="not a JSON object"):
         net_codec.decode_lookup_response(response)
 
     writer = ArtifactWriter(tmp_path / "odd.bin", compress=False)

@@ -1,10 +1,11 @@
 """Unit tests for the :mod:`repro.exec` build pool.
 
 Covers spec parsing (``"serial"`` and ``"process[:N]"`` only), the
-:class:`ProcessBackend` methods (ordered ``map_blocks``, unordered
-``map_unordered``, lifecycle), initializer plumbing, and the
-:class:`~repro.core.config.SynthesisConfig` integration — the ``executor``
-field and the ``REPRO_EXECUTOR`` environment hook.
+:class:`ProcessBackend` methods (ordered ``map_blocks``, lifecycle),
+initializer plumbing, the :class:`FanOut` session (one pool per stage run,
+none below the gate), and the :class:`~repro.core.config.SynthesisConfig`
+integration — the ``executor`` field and the ``REPRO_EXECUTOR`` environment
+hook.
 """
 
 from __future__ import annotations
@@ -136,12 +137,6 @@ class TestProcessBackend:
         with ProcessBackend(2) as backend:
             assert backend.map_blocks(sum, [[1, 2], [3], [4, 5, 6]]) == [3, 3, 15]
 
-    def test_map_unordered_covers_all_items(self):
-        with ProcessBackend(2) as backend:
-            assert sorted(backend.map_unordered(_square, range(6))) == [
-                0, 1, 4, 9, 16, 25,
-            ]
-
     def test_task_exceptions_propagate(self):
         with ProcessBackend(2) as backend:
             with pytest.raises(TypeError):
@@ -152,7 +147,7 @@ class TestProcessBackend:
             2, initializer=_install_token, initargs=("token-process",)
         )
         with backend:
-            results = set(backend.map_unordered(_read_token, range(3)))
+            results = set(backend.map_blocks(_read_token, range(3)))
         assert results == {"token-process"}
 
     def test_matches_a_plain_list_comprehension(self):
@@ -336,40 +331,27 @@ class TestFanOut:
     def test_run_blocks_matches_serial(self):
         fan = FanOut("process:2")
         blocks = [[1, 2], [3], [4, 5, 6]]
-        assert fan.run_blocks(_sum_block, blocks) == [3, 3, 15]
-        assert not fan.fallback
-
-    def test_run_unordered_covers_all_blocks(self):
-        fan = FanOut("process:2")
-        blocks = [[n] for n in range(10)]
-        results = fan.run_unordered(_sum_block, blocks)
-        assert sorted(results) == list(range(10))
+        with fan.session():
+            assert fan.run_blocks(_sum_block, blocks) == [3, 3, 15]
         assert not fan.fallback
 
     def test_pool_failure_returns_none_and_sets_fallback(self):
-        # A lambda cannot be pickled into a worker: the pool fails, and the
-        # caller is told to run its sequential path.
+        # A lambda cannot be pickled into a worker: the pool fails, the caller
+        # is told to run its sequential path, and the fan-out stays closed.
         fan = FanOut("process:2")
-        assert fan.run_blocks(lambda block: block, [[1], [2]]) is None
+        with fan.session():
+            assert fan.run_blocks(lambda block: block, [[1], [2]]) is None
         assert fan.fallback
         assert fan.fallback_reason
-        fan_unordered = FanOut("process:2")
-        assert fan_unordered.run_unordered(lambda block: block, [[1], [2]]) is None
-        assert fan_unordered.fallback
+        assert not fan.should_fan_out(10_000)
+
+    def test_run_blocks_needs_a_session(self):
+        with pytest.raises(RuntimeError, match="session"):
+            FanOut("process:2").run_blocks(_sum_block, [[1]])
 
     def test_invalid_spec_fails_at_construction(self):
         with pytest.raises(ExecutorSpecError):
             FanOut("process:zero")
-
-    def test_initializer_reaches_workers(self):
-        fan = FanOut("process:2")
-        results = fan.run_blocks(
-            _read_token, [None, None], initializer=_install_token, initargs=("fanout",)
-        )
-        if results is None:  # pragma: no cover - sandboxed environments
-            assert fan.fallback
-        else:
-            assert results == ["fanout", "fanout"]
 
     def test_session_shares_one_pool_across_calls(self):
         """Calls inside a session run on the same pool, whose workers ran the
@@ -377,9 +359,9 @@ class TestFanOut:
         fan = FanOut("process:2")
         with fan.session(initializer=_install_token, initargs=("session",)):
             first = fan.run_blocks(_token_and_pid, [None] * 4)
-            pool = fan._shared._pool
-            second = fan.run_unordered(_token_and_pid, [None] * 4)
-            assert fan._shared._pool is pool
+            pool = fan._backend._pool
+            second = fan.run_blocks(_token_and_pid, [None] * 4)
+            assert fan._backend._pool is pool
         if first is None:  # pragma: no cover - sandboxed environments
             assert fan.fallback
             return
@@ -387,15 +369,41 @@ class TestFanOut:
         assert {token for token, _ in first + second} == {"session"}
         workers = {pid for _, pid in first + second}
         assert len(workers) <= 2
-        # Outside the session a call starts its own pool again.
-        third = fan.run_blocks(_token_and_pid, [None] * 4)
+        # The pool ends with its session; the next session starts its own.
+        assert fan._backend is None
+        with fan.session(initializer=_install_token, initargs=("next",)):
+            third = fan.run_blocks(_token_and_pid, [None] * 4)
+        assert {token for token, _ in third} == {"next"}
         assert {pid for _, pid in third}.isdisjoint(workers)
 
-    def test_session_that_never_fans_out_starts_no_pool(self):
+    def test_session_that_never_fans_out_builds_no_backend(self):
         fan = FanOut("process:2")
         with fan.session(initializer=_install_token, initargs=("idle",)):
-            backend = fan._shared
-        assert backend._pool is None
+            assert fan._backend is None
+        assert fan._backend is None
+
+    def test_serial_or_gated_stages_build_no_backend(self, store_corpus, monkeypatch):
+        # edit_stream extracts one changed table at a time: below the gate, as
+        # under "serial", a stage must not even construct a backend.
+        from repro.exec import fanout
+        from repro.extraction.candidates import CandidateExtractor
+        from repro.graph.build import GraphBuilder
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ProcessBackend was built")
+
+        monkeypatch.setattr(fanout, "ProcessBackend", refuse)
+        tables = list(store_corpus)
+        serial = SynthesisConfig(executor="serial")
+        gated = SynthesisConfig(executor="process:2")
+        candidates, _ = CandidateExtractor(serial).extract_tables(tables)
+        GraphBuilder(serial).build(candidates)
+        extractor = CandidateExtractor(gated)
+        extractor.extract_tables(tables[:1])
+        assert not extractor.last_parallel_fallback
+        builder = GraphBuilder(gated)
+        builder.build(candidates[:3])
+        assert not builder.last_build_stats.parallel_fallback
 
 
 def _sum_block(block):

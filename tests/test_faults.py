@@ -9,8 +9,9 @@ The two load-bearing invariants (the PR's acceptance criteria):
 
 * a pipeline run on ``process:2`` under injected worker crashes is
   **byte-identical** to the serial oracle — the recovery ladder (per-task
-  retry, pool rebuild + re-dispatch of only the lost chunks, inline
-  degradation) never changes answers, only wall-clock;
+  retry, pool rebuild + re-dispatch of only the lost chunks, and past the
+  budget the stage's own sequential path) never changes answers, only
+  wall-clock;
 * a daemon whose artifact path suffers repeated failed/corrupt publishes
   keeps serving the **pinned last-good generation**, reports the degradation
   through ``health()``, and recovers automatically on the next good publish.
@@ -22,6 +23,7 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import BrokenExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,8 +35,8 @@ from repro.core.config import SynthesisConfig
 from repro.core.mapping import MappingRelationship
 from repro.core.pipeline import SynthesisPipeline
 from repro.corpus.seeds import get_seed_relation
-from repro.exec import ProcessBackend
-from repro.extraction.candidates import CandidateExtractor
+from repro.exec import FanOut, ProcessBackend
+from repro.extraction.candidates import CandidateExtractor, _init_extract_worker
 from repro.faults import (
     FAULT_SEED_ENV_VAR,
     CircuitBreaker,
@@ -45,7 +47,7 @@ from repro.faults import (
     active_injector,
     injected_faults,
 )
-from repro.graph.build import GraphBuilder
+from repro.graph.build import GraphBuilder, _init_scoring_worker
 from repro.serving import CircuitOpenError, QueueFullError, SynthesisDaemon
 from repro.store.format import ArtifactReader, ArtifactWriter, atomic_write_bytes
 
@@ -385,13 +387,6 @@ class TestResilientBackends:
                 assert backend.fallback_reason is None
             assert injector.total_injected == 2
 
-    def test_process_backend_map_unordered_under_faults(self):
-        plan = FaultPlan(seed=17, task_error_rate=1.0, max_faults=2)
-        with injected_faults(plan):
-            with ProcessBackend(2, retry_policy=FAST_RETRY) as backend:
-                got = sorted(backend.map_unordered(_square, self.ITEMS))
-        assert got == self.EXPECTED
-
     def test_slow_calls_change_nothing_but_wall_clock(self):
         plan = FaultPlan(
             seed=23, slow_call_rate=0.5, slow_call_seconds=0.001, max_faults=8
@@ -411,18 +406,23 @@ class TestResilientBackends:
                 assert backend.crash_recoveries == 1
                 assert backend.fallback_reason is None
 
-    def test_process_backend_degrades_inline_past_the_budget(self):
+    def test_process_backend_raises_past_the_budget(self):
         # Every dispatch crashes its worker; after the rebuild budget the
-        # backend must finish the work inline — correctly — and say why.
+        # backend must give up and say why, and a FanOut turns that into the
+        # stage's sequential fallback.
         plan = FaultPlan(seed=31, worker_crash_rate=1.0)
+        blocks = [self.ITEMS[:12], self.ITEMS[12:]]
         with injected_faults(plan):
             with ProcessBackend(2, retry_policy=FAST_RETRY) as backend:
-                blocks = [self.ITEMS[:12], self.ITEMS[12:]]
-                assert backend.map_blocks(_sum_block, blocks) == [
-                    sum(b) for b in blocks
-                ]
-                assert backend.fallback_reason is not None
-                assert "inline" in backend.fallback_reason
+                with pytest.raises(BrokenExecutor, match="retry budget"):
+                    backend.map_blocks(_sum_block, blocks)
+                assert backend.crash_recoveries == FAST_RETRY.attempts
+                assert "retry budget" in backend.fallback_reason
+            fan = FanOut("process:2", retry_policy=FAST_RETRY)
+            with fan.session():
+                assert fan.run_blocks(_sum_block, blocks) is None
+        assert fan.fallback
+        assert "retry budget" in fan.fallback_reason
 
     def test_single_task_retry_is_counted_once(self):
         plan = FaultPlan(seed=37, task_error_rate=1.0, max_faults=1)
@@ -465,9 +465,47 @@ def test_pipeline_under_task_errors_is_byte_identical(store_corpus, serial_oracl
     assert _canonical(result) == serial_oracle
 
 
-def test_degraded_pipeline_leaves_no_worker_state_behind(store_corpus, serial_oracle):
-    """Past the budget the pool runs its initializer inline, in this process;
-    the stages that supplied the initializers must clear what it installed."""
+_PID_LOG_ENV = "_REPRO_TEST_INITIALIZER_PIDS"
+
+
+def _log_initializer_pid() -> None:
+    # The log path travels in the environment, which both fork and spawn
+    # workers inherit.
+    with open(os.environ[_PID_LOG_ENV], "a") as log:
+        log.write(f"{os.getpid()}\n")
+
+
+def _logged_scoring_init(*args) -> None:
+    _log_initializer_pid()
+    _init_scoring_worker(*args)
+
+
+def _logged_extract_init(*args) -> None:
+    _log_initializer_pid()
+    _init_extract_worker(*args)
+
+
+@pytest.fixture
+def initializer_pids(tmp_path, monkeypatch):
+    """Log the pid of every process that runs a stage's worker initializer;
+    returns a reader of the pids logged so far."""
+    from repro.extraction import candidates as candidates_module
+    from repro.graph import build as build_module
+
+    log = tmp_path / "initializer-pids.txt"
+    log.touch()
+    monkeypatch.setenv(_PID_LOG_ENV, str(log))
+    monkeypatch.setattr(build_module, "_init_scoring_worker", _logged_scoring_init)
+    monkeypatch.setattr(candidates_module, "_init_extract_worker", _logged_extract_init)
+    return lambda: {int(line) for line in log.read_text().split()}
+
+
+def test_degraded_pipeline_leaves_no_worker_state_behind(
+    store_corpus, serial_oracle, initializer_pids
+):
+    """Past the retry budget every stage falls back to its own sequential
+    path: the whole run equals the serial oracle, and no worker initializer
+    ran in this process or left state in its modules."""
     from repro.extraction import candidates
     from repro.graph import build
 
@@ -478,10 +516,76 @@ def test_degraded_pipeline_leaves_no_worker_state_behind(store_corpus, serial_or
         ).run(store_corpus)
     assert injector.injected.get("worker_crash", 0) > 0
     assert _canonical(result) == serial_oracle
+    assert os.getpid() not in initializer_pids()
     assert build._WORKER_SCORER is None
     assert build._WORKER_PROFILES == []
     assert candidates._EXTRACT_CONFIG is None
     assert candidates._EXTRACT_INDEX is None
+
+
+@pytest.mark.parametrize("stage", ["graph", "extraction"])
+def test_caller_never_runs_a_worker_initializer(stage, store_corpus, initializer_pids):
+    """Past the retry budget a stage falls back to its own sequential path:
+    the worker initializer runs in pool workers only, never in the caller."""
+    degraded = _config("process:2", retry_attempts=1, retry_backoff_seconds=0.001)
+    oracle, oracle_stats = CandidateExtractor(_config("serial")).extract(store_corpus)
+    with injected_faults(FaultPlan(seed=2, worker_crash_rate=1.0)) as injector:
+        if stage == "graph":
+            builder = GraphBuilder(degraded)
+            graph = builder.build(oracle)
+            fell_back = builder.last_build_stats.parallel_fallback
+        else:
+            extractor = CandidateExtractor(degraded)
+            candidates, stats = extractor.extract(store_corpus)
+            fell_back = extractor.last_parallel_fallback
+    assert injector.injected.get("worker_crash", 0) > 0
+    assert os.getpid() not in initializer_pids()
+    assert fell_back is True
+    if stage == "graph":
+        expected = GraphBuilder(_config("serial")).build(oracle)
+        assert graph.positive_edges == expected.positive_edges
+        assert graph.negative_edges == expected.negative_edges
+    else:
+
+        def canonical(tables):
+            return [
+                (c.table_id, c.source_table_id, [(p.left, p.right) for p in c.pairs])
+                for c in tables
+            ]
+
+        assert canonical(candidates) == canonical(oracle)
+        assert stats == oracle_stats
+
+
+def test_concurrent_degraded_builds_each_match_their_oracle(store_corpus):
+    """Guard: two builds that fall back at once in one process share no state."""
+    candidates, _ = CandidateExtractor(_config("serial")).extract(store_corpus)
+    halves = [candidates[0::2], candidates[1::2]]
+    oracles = [GraphBuilder(_config("serial")).build(half) for half in halves]
+    degraded = _config("process:2", retry_attempts=1, retry_backoff_seconds=0.001)
+    graphs: list = [None, None]
+    fell_back: list = [None, None]
+    errors: list[BaseException] = []
+
+    def build(slot: int) -> None:
+        try:
+            builder = GraphBuilder(degraded)
+            graphs[slot] = builder.build(halves[slot])
+            fell_back[slot] = builder.last_build_stats.parallel_fallback
+        except BaseException as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    with injected_faults(FaultPlan(seed=3, worker_crash_rate=1.0)):
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert not errors
+    assert fell_back == [True, True]
+    for graph, oracle in zip(graphs, oracles):
+        assert graph.positive_edges == oracle.positive_edges
+        assert graph.negative_edges == oracle.negative_edges
 
 
 @settings(
@@ -518,7 +622,6 @@ def test_backend_map_property_matches_plain_python(seed, error_rate, slow_rate):
     with injected_faults(plan):
         with ProcessBackend(2, retry_policy=FAST_RETRY) as backend:
             assert backend.map_blocks(_square, items) == expected
-            assert sorted(backend.map_unordered(_square, items)) == expected
 
 
 class TestConfigRetryBudgetReachesPools:

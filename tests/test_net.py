@@ -292,6 +292,28 @@ def test_server_enforces_the_frame_deadline(server, oracle):
     assert server.daemon.stats.expired == expired_before + 1
 
 
+def test_damaged_payload_comes_back_as_a_typed_protocol_error(server):
+    # The frame itself is intact (its checksum covers the damaged payload), so
+    # only the payload decoder can object: the reply is a T_ERROR envelope
+    # typed ProtocolError, and the connection keeps serving.
+    payload = codec.encode_lookup_request((LOOKUP,), deadline_remaining=5.0)[:-2]
+    conn = raw_connection(server)
+    try:
+        conn.sendall(encode_frame(codec.T_LOOKUP, 41, payload))
+        frame = read_frame(conn)
+        assert frame is not None and frame.frame_type == codec.T_ERROR
+        assert frame.request_id == 41
+        kind, message = codec.decode_error(frame.payload)
+        assert kind == "ProtocolError"
+        assert "lookup_request" in message
+        conn.sendall(encode_frame(codec.T_PING, 42, b"still here"))
+        pong = read_frame(conn)
+        assert pong is not None and pong.frame_type == codec.T_PONG
+        assert pong.payload == b"still here"
+    finally:
+        conn.close()
+
+
 def test_garbage_bytes_kill_only_their_connection(server, client, oracle):
     conn = raw_connection(server)
     try:
