@@ -183,8 +183,10 @@ class SynthesisArtifact:
     :class:`~repro.store.format.ArtifactReader` (:meth:`from_reader`, the
     :func:`load_artifact` path for v2 files).  A lazy artifact materializes a
     section's field group on first attribute access and never touches the
-    rest: serving consumers that read only :attr:`mappings` + ``curated_ids``
-    leave candidates, profiles, and edges encoded on the reader.  First access
+    rest: serving consumers that read only :attr:`curated` (or
+    :attr:`mappings`) + ``curated_ids`` leave candidates, profiles, and edges
+    encoded on the reader, and :attr:`curated` builds only the curated
+    mappings.  First access
     is not synchronized — share a lazy artifact across threads only after the
     sections you need have been touched once.
 
@@ -386,8 +388,26 @@ class SynthesisArtifact:
     # -- Views ------------------------------------------------------------------------
     @property
     def curated(self) -> list[MappingRelationship]:
-        """The curated subset of :attr:`mappings`, in curation (popularity) order."""
-        by_id = {mapping.mapping_id: mapping for mapping in self.mappings}
+        """The curated subset of :attr:`mappings`, in curation (popularity) order.
+
+        A lazy artifact whose :attr:`mappings` are not materialized builds
+        only the curated mappings: one
+        :meth:`~repro.store.format.ArtifactReader.decode` of the
+        mappings section with the curated ids as ``wanted`` (every record is
+        still checked), kept here so a second read pays nothing.  Eager or
+        dirty artifacts, and an empty curated list, filter :attr:`mappings`.
+        """
+        pool = self.__dict__.get("mappings")
+        if pool is None and self._reader is not None and self.curated_ids:
+            key = tuple(self.curated_ids)
+            cached = self.__dict__.get("_curated_decode")
+            if cached is None or cached[0] != key:
+                decoded = self._reader.decode("mappings", wanted=frozenset(key))
+                cached = self.__dict__["_curated_decode"] = (key, decoded["mappings"])
+            pool = cached[1]
+        if pool is None:
+            pool = self.mappings
+        by_id = {mapping.mapping_id: mapping for mapping in pool}
         return [
             by_id[mapping_id] for mapping_id in self.curated_ids if mapping_id in by_id
         ]

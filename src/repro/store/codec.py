@@ -14,6 +14,13 @@ Varints keep references to the (overwhelmingly small) pool indices at 1–2
 bytes, and float64 keeps scores bit-exact across a round trip.  Everything here
 is deliberately order-preserving and deterministic: identical inputs encode to
 identical bytes, which the artifact writer relies on for reproducible files.
+A varint holds at most ``2**30``: the writer refuses a larger value at the
+sender (``ValueError``), because every reader refuses to decode one.
+
+:class:`ByteReader` walks a payload one field at a time.  Where a load pays
+for every varint — the mappings section, which every daemon start decodes —
+:meth:`ByteReader.read_uvarints` reads the record stream after the string
+pool in one pass into a list of ints, with the same checks.
 
 All read-side failures raise :class:`CodecError` (a ``ValueError``); the
 container layer wraps them into
@@ -75,9 +82,9 @@ class ByteWriter:
         self._buffer = bytearray()
 
     def write_uvarint(self, value: int) -> None:
-        """LEB128-encode one unsigned integer."""
-        if value < 0:
-            raise ValueError(f"uvarint cannot encode negative value {value}")
+        """LEB128-encode one unsigned integer of at most ``2**30``."""
+        if not 0 <= value <= _MAX_COUNT:
+            raise ValueError(f"uvarint encodes 0..{_MAX_COUNT}, not {value}")
         while True:
             byte = value & 0x7F
             value >>= 7
@@ -138,6 +145,35 @@ class ByteReader:
             # means the stream lost framing.
             raise CodecError(f"implausible varint value {value}")
         return value
+
+    def read_uvarints(self) -> list[int]:
+        """Every varint left in the payload, decoded in one pass.
+
+        Makes :meth:`read_uvarint`'s checks on each value; the payload must
+        end where a varint ends.
+        """
+        values: list[int] = []
+        append = values.append
+        value = shift = 0
+        for byte in self._data[self._pos :]:
+            if byte < 0x80:
+                if shift:
+                    value |= byte << shift
+                    if value > _MAX_COUNT:
+                        raise CodecError(f"implausible varint value {value}")
+                    append(value)
+                    value = shift = 0
+                else:
+                    append(byte)
+            else:
+                value |= (byte & 0x7F) << shift
+                shift += 7
+                if shift > 63:
+                    raise CodecError("varint too long")
+        if shift:
+            raise CodecError("truncated varint")
+        self._pos = len(self._data)
+        return values
 
     def read_str(self) -> str:
         length = self.read_uvarint()

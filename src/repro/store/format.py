@@ -32,7 +32,8 @@ so a reader can:
   uses to reject damaged files without paying for a full decode;
 * **decode lazily** — :meth:`ArtifactReader.decode` decompresses and decodes a
   section on first access only, so a consumer that serves mappings never
-  touches the (much larger) profile and edge sections;
+  touches the (much larger) profile and edge sections, and it can build
+  only the mappings it serves (``wanted``) while still checking every record;
 * **copy sections wholesale** — :meth:`ArtifactWriter.add_stored` re-emits a
   section's stored bytes unchanged, so a writer refreshing an artifact
   re-encodes only the sections it actually touched.
@@ -53,7 +54,7 @@ import zlib
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Collection
 
 from repro.store.codec import (
     RECORD_PREFIX_SIZE,
@@ -68,7 +69,7 @@ from repro.store.errors import (
     ArtifactError,
     ArtifactVersionError,
 )
-from repro.store.sections import canonical_json, decode_section
+from repro.store.sections import canonical_json, decode_mappings, decode_section
 
 __all__ = [
     "CONTAINER_MAGIC",
@@ -250,8 +251,10 @@ class ArtifactReader:
     atomically replaced underneath us at any time), but *decoding* — gunzip +
     section codec + model-object construction, the expensive part — happens
     per section on first access and is cached.  :attr:`decode_counts` records
-    how many times each section was actually decoded, which the tests use to
-    assert that serving consumers never touch the cold sections.
+    how many times each section was actually decoded and
+    :attr:`mappings_built` how many mapping objects those decodes built, which
+    the tests use to assert that serving consumers never touch the cold
+    sections and build only the mappings they serve.
     """
 
     def __init__(self, data: bytes, *, source: str = "artifact") -> None:
@@ -259,8 +262,11 @@ class ArtifactReader:
         self._data = data
         self._decoded: dict[str, dict] = {}
         #: section name -> number of times its payload was decoded (0 = lazy
-        #: section never touched; >1 impossible through this class's cache).
+        #: section never touched; a full decode is cached, so a section is
+        #: decoded again only after a subset decode of the mappings).
         self.decode_counts: dict[str, int] = {}
+        #: MappingRelationship objects built by this reader's decodes.
+        self.mappings_built = 0
         self._body_start, self.sections = _parse_toc(data, source)
         for info in self.sections.values():
             # Extent check at open time (no hashing): a truncated file fails
@@ -334,21 +340,38 @@ class ArtifactReader:
                 ) from exc
         return stored
 
-    def decode(self, name: str) -> dict:
-        """Decode the section into its field group (cached; counted once)."""
+    def decode(self, name: str, *, wanted: Collection[str] | None = None) -> dict:
+        """Decode the section into its field group (cached; counted once).
+
+        ``wanted`` (mappings only) builds just the mappings with those ids,
+        in stored order, after checking every record; such a subset is
+        counted but not cached here (:attr:`SynthesisArtifact.curated
+        <repro.store.artifact.SynthesisArtifact.curated>` keeps it).  A
+        full decode already cached answers it without decoding.
+        """
+        if wanted is not None and name != "mappings":
+            raise TypeError(f"only the mappings section decodes a subset, not {name!r}")
         cached = self._decoded.get(name)
         if cached is not None:
-            return cached
+            if wanted is None:
+                return cached
+            return {"mappings": [m for m in cached["mappings"] if m.mapping_id in wanted]}
         payload = self.payload_bytes(name)
         self.decode_counts[name] = self.decode_counts.get(name, 0) + 1
         try:
-            fields = decode_section(name, payload)
+            if wanted is None:
+                fields = decode_section(name, payload)
+            else:
+                fields = decode_mappings(payload, wanted)
         except (KeyError, TypeError, ValueError) as exc:  # CodecError is a ValueError
             raise ArtifactCorruptionError(
                 f"section {name!r} of {self.source} is malformed: {exc}",
                 section=name,
             ) from exc
-        self._decoded[name] = fields
+        if name == "mappings":
+            self.mappings_built += len(fields["mappings"])
+        if wanted is None:
+            self._decoded[name] = fields
         return fields
 
     def verify(self) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields as dataclass_fields
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from repro.core.binary_table import BinaryTable, ValuePair
 from repro.core.config import SynthesisConfig
@@ -36,6 +36,7 @@ __all__ = [
     "canonical_json",
     "encode_section",
     "decode_section",
+    "decode_mappings",
     "section_item_count",
     "write_patch",
     "read_patch",
@@ -241,6 +242,16 @@ def _decode_stats(data: bytes) -> dict[str, Any]:
 # ---------------------------------------------------------------------------------------
 # Binary sections (compact pair encoding)
 # ---------------------------------------------------------------------------------------
+def _refs(ints: list[int], start: int, count: int, pool: list[str]) -> list[int]:
+    """``count`` pool references from ``ints[start:]``, each checked."""
+    refs = ints[start : start + count]
+    if len(refs) < count:
+        raise CodecError("truncated record stream")
+    if refs and max(refs) >= len(pool):
+        raise CodecError(f"string reference {max(refs)} outside pool of {len(pool)}")
+    return refs
+
+
 def _encode_candidates(fields: Mapping[str, Any]) -> bytes:
     candidates: list[BinaryTable] = fields["candidates"]
     pool = StringPool()
@@ -432,37 +443,57 @@ def _encode_mappings(fields: Mapping[str, Any]) -> bytes:
     return writer.getvalue()
 
 
-def _decode_mappings(data: bytes) -> dict[str, Any]:
+def decode_mappings(
+    data: bytes, wanted: Collection[str] | None = None
+) -> dict[str, Any]:
+    """The mappings section's field group; with ``wanted``, only those ids.
+
+    The record stream after the pool is read in one pass into a list of ints
+    (:meth:`~repro.store.codec.ByteReader.read_uvarints`).  Records that are
+    not wanted are still checked in full (counts, references, metadata), so a
+    subset decode raises exactly when the full one does.
+    """
     reader = ByteReader(data)
     pool = StringPool.read(reader)
-    lookup = StringPool.lookup
+    ints = reader.read_uvarints()
+    lookup = pool.__getitem__
     mappings: list[MappingRelationship] = []
-    for _ in range(reader.read_uvarint()):
-        mapping_id = lookup(pool, reader.read_uvarint())
-        left_col = lookup(pool, reader.read_uvarint())
-        right_col = lookup(pool, reader.read_uvarint())
-        metadata = _json_object(
-            lookup(pool, reader.read_uvarint()).encode("utf-8"), "metadata"
-        )
-        pairs = [
-            ValuePair(
-                lookup(pool, reader.read_uvarint()), lookup(pool, reader.read_uvarint())
+    metadata_checked: set[int] = set()
+    pos = 1
+    try:
+        for _ in range(ints[0]):
+            mapping_id, left_col, right_col, metadata = _refs(ints, pos, 4, pool)
+            pair_refs = _refs(ints, pos + 5, 2 * ints[pos + 4], pool)
+            pos += 5 + len(pair_refs)
+            sources = _refs(ints, pos + 1, ints[pos], pool)
+            pos += 1 + len(sources)
+            domains = _refs(ints, pos + 1, ints[pos], pool)
+            pos += 1 + len(domains)
+            if wanted is not None and pool[mapping_id] not in wanted:
+                if metadata not in metadata_checked:
+                    _json_object(pool[metadata].encode("utf-8"), "metadata")
+                    metadata_checked.add(metadata)
+                continue
+            mappings.append(
+                MappingRelationship(
+                    mapping_id=pool[mapping_id],
+                    pairs=list(
+                        map(
+                            ValuePair,
+                            map(lookup, pair_refs[0::2]),
+                            map(lookup, pair_refs[1::2]),
+                        )
+                    ),
+                    source_tables=list(map(lookup, sources)),
+                    domains=set(map(lookup, domains)),
+                    column_names=(pool[left_col], pool[right_col]),
+                    metadata=_json_object(pool[metadata].encode("utf-8"), "metadata"),
+                )
             )
-            for _ in range(reader.read_uvarint())
-        ]
-        sources = [lookup(pool, reader.read_uvarint()) for _ in range(reader.read_uvarint())]
-        domains = [lookup(pool, reader.read_uvarint()) for _ in range(reader.read_uvarint())]
-        mappings.append(
-            MappingRelationship(
-                mapping_id=mapping_id,
-                pairs=pairs,
-                source_tables=sources,
-                domains=set(domains),
-                column_names=(left_col, right_col),
-                metadata=metadata,
-            )
-        )
-    reader.expect_eof()
+    except IndexError:
+        raise CodecError("record stream ends inside a record") from None
+    if pos != len(ints):
+        raise CodecError(f"{len(ints) - pos} trailing values after section records")
     return {"mappings": mappings}
 
 
@@ -486,7 +517,7 @@ _DECODERS: dict[str, Callable[[bytes], dict[str, Any]]] = {
     "candidates": _decode_candidates,
     "profiles": _decode_profiles,
     "edges": _decode_edges,
-    "mappings": _decode_mappings,
+    "mappings": decode_mappings,
     "curation": _decode_curation,
     "stats": _decode_stats,
 }

@@ -203,6 +203,23 @@ def test_delta_generation_and_error_payload_round_trips(oracle):
     assert (kind, message) == ("ValueError", "bad input")
 
 
+def test_a_value_the_receiver_would_refuse_is_refused_at_the_sender():
+    largest = 1 << 30
+    for top_k, ok in ((largest, True), (largest + 1, False), (1 << 31, False)):
+        request = LookupRequest(
+            op="values", values=("a", "b"), min_containment=0.5, top_k=top_k
+        )
+        if ok:
+            payload = codec.encode_lookup_request([request])
+            assert codec.decode_lookup_request(payload) == ((request,), None)
+            assert codec.decode_generation(codec.encode_generation(top_k)) == top_k
+        else:
+            with pytest.raises(ValueError, match="uvarint"):
+                codec.encode_lookup_request([request])
+            with pytest.raises(ValueError, match="uvarint"):
+                codec.encode_generation(top_k)
+
+
 # ---------------------------------------------------------------------------------------
 # 2. Server / client pairs
 # ---------------------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from test_store_roundtrip import (
 from store_helpers import write_v1_copy
 
 from repro.applications.service import MappingService
+from repro.core.mapping import MappingRelationship
 from repro.core.pipeline import SynthesisPipeline
 from repro.serving.watcher import ArtifactWatcher
 from repro.store import (
@@ -265,43 +266,73 @@ class TestVersionGating:
 # ---------------------------------------------------------------------------------------
 # Laziness accounting: serving decodes only what it serves
 # ---------------------------------------------------------------------------------------
+#: The served sample: N stored mappings, of which the C curated ids are served.
+SERVED_N, SERVED_CURATED = 6, ["mapping-00004", "mapping-00001", "mapping-00003"]
+
+
+def _served_sample(tmp_path):
+    """A saved artifact with more mappings than curated ids."""
+    mappings = [
+        MappingRelationship(
+            mapping_id=f"mapping-{index:05d}",
+            pairs=[(f"left-{index}-{row}", f"right-{index}-{row}") for row in range(3)],
+            source_tables=[f"cand-{index:03d}"],
+            domains={f"d{index}.example"},
+        )
+        for index in range(SERVED_N)
+    ]
+    artifact = make_sample_artifact().evolve(
+        mappings=mappings, curated_ids=SERVED_CURATED
+    )
+    path, _ = save_and_load_v2(artifact, tmp_path)
+    return path
+
+
+def _capture_loads(monkeypatch, module):
+    """Record every artifact ``module.load_artifact`` returns."""
+    captured = []
+    real_load = module.load_artifact
+
+    def capturing_load(target):
+        artifact = real_load(target)
+        captured.append(artifact)
+        return artifact
+
+    monkeypatch.setattr(module, "load_artifact", capturing_load)
+    return captured
+
+
+def _assert_built_only_the_served(artifact):
+    reader = artifact.reader
+    assert reader.item_count("mappings") == SERVED_N
+    assert reader.decode_counts["mappings"] == 1
+    assert reader.mappings_built == len(SERVED_CURATED)
+    assert [m.mapping_id for m in artifact.curated] == SERVED_CURATED
+    assert reader.decode_counts["mappings"] == 1  # the subset is kept
+
+
 class TestSectionAccessCounters:
     def test_service_from_artifact_decodes_only_serving_sections(
         self, tmp_path, monkeypatch
     ):
-        path, _ = save_and_load_v2(make_sample_artifact(), tmp_path)
         import repro.store.artifact as artifact_module
 
-        captured = []
-        real_load = artifact_module.load_artifact
-
-        def capturing_load(target):
-            artifact = real_load(target)
-            captured.append(artifact)
-            return artifact
-
-        monkeypatch.setattr(artifact_module, "load_artifact", capturing_load)
+        path = _served_sample(tmp_path)
+        captured = _capture_loads(monkeypatch, artifact_module)
         service = MappingService.from_artifact(path)
-        assert len(service) == 1
+        assert len(service) == len(SERVED_CURATED)
         (artifact,) = captured
         decoded = set(artifact.reader.decode_counts)
         assert decoded == {"mappings", "curation"}
         assert all(count == 1 for count in artifact.reader.decode_counts.values())
+        _assert_built_only_the_served(artifact)
 
     def test_daemon_from_artifact_decodes_no_cold_sections(self, tmp_path, monkeypatch):
         from repro.serving.daemon import SynthesisDaemon
         import repro.store.artifact as artifact_module
 
-        path, _ = save_and_load_v2(make_sample_artifact(), tmp_path)
-        captured = []
-        real_load = artifact_module.load_artifact
-
-        def capturing_load(target):
-            artifact = real_load(target)
-            captured.append(artifact)
-            return artifact
-
-        monkeypatch.setattr(artifact_module, "load_artifact", capturing_load)
+        path = _served_sample(tmp_path)
+        captured = _capture_loads(monkeypatch, artifact_module)
         daemon = SynthesisDaemon.from_artifact(path, watch=False, workers=1)
         try:
             (artifact,) = captured
@@ -310,8 +341,50 @@ class TestSectionAccessCounters:
             # generation tag; the cold sections stay encoded.
             assert decoded <= {"mappings", "curation", "fingerprints"}
             assert decoded & {"candidates", "profiles", "edges"} == set()
+            _assert_built_only_the_served(artifact)
         finally:
             daemon.close()
+
+    def test_hot_reload_builds_only_the_served_mappings(self, tmp_path, monkeypatch):
+        from repro.serving import watcher as watcher_module
+        from repro.serving.daemon import SynthesisDaemon
+
+        path = _served_sample(tmp_path)
+        captured = _capture_loads(monkeypatch, watcher_module)
+        daemon = SynthesisDaemon.from_artifact(path, watch=True, workers=1)
+        try:
+            save_artifact(load_artifact(path), path)
+            assert daemon.await_generation(2, timeout=30) >= 2
+        finally:
+            daemon.close()  # joins the watcher: no reload is still running
+        # The publish hook's forced check and await_generation's own check can
+        # both reload the new file; every artifact a reload served from built
+        # only the served mappings.
+        swapped = [artifact for artifact in captured if artifact.reader.decode_counts]
+        assert swapped
+        for artifact in swapped:
+            assert artifact.reader.decode_counts.keys() <= {
+                "mappings",
+                "curation",
+                "fingerprints",
+            }
+            _assert_built_only_the_served(artifact)
+
+    def test_curated_of_a_materialized_or_dirty_artifact_filters_mappings(
+        self, tmp_path
+    ):
+        path = _served_sample(tmp_path)
+        lazy = load_artifact(path)
+        assert len(lazy.mappings) == SERVED_N
+        assert [m.mapping_id for m in lazy.curated] == SERVED_CURATED
+        assert lazy.reader.decode_counts["mappings"] == 1
+        assert lazy.reader.mappings_built == SERVED_N
+
+        dirty = load_artifact(path)
+        dirty.curated_ids = ["mapping-00002"]
+        assert [m.mapping_id for m in dirty.curated] == ["mapping-00002"]
+        dirty.mappings = dirty.mappings[:1]
+        assert dirty.curated == []
 
 
 # ---------------------------------------------------------------------------------------
