@@ -142,7 +142,6 @@ class Replica(Protocol):
         removed: Iterable[str],
         *,
         seq: int,
-        escalation_ratio: float = 0.25,
     ) -> object: ...
 
     def await_generation(self, target: int, *, timeout: float) -> int: ...
@@ -632,7 +631,6 @@ class ClusterRouter:
         removed: Iterable[str],
         *,
         seq: int,
-        escalation_ratio: float = 0.25,
         pool_size: int | None = None,
     ) -> None:
         """Scatter one update-stream delta to the replicas owning its shards.
@@ -666,12 +664,7 @@ class ClusterRouter:
             if not shard_upserts and not shard_removed:
                 continue
             try:
-                replica.daemon.apply_delta(
-                    shard_upserts,
-                    shard_removed,
-                    seq=seq,
-                    escalation_ratio=escalation_ratio,
-                )
+                replica.daemon.apply_delta(shard_upserts, shard_removed, seq=seq)
             except DaemonStoppedError:
                 # Closed between the check and the call — same as skipping.
                 continue

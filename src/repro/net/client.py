@@ -338,19 +338,11 @@ class RemoteReplica:
         removed,
         *,
         seq: int,
-        escalation_ratio: float = 0.25,
-        source: str | None = None,
     ) -> None:
         """Ship one shard-local delta slice over the wire and apply it."""
         if self._closed:
             raise DaemonStoppedError(f"remote replica client {self.name} is closed")
-        payload = codec.encode_delta_request(
-            list(upserts),
-            list(removed),
-            seq=seq,
-            escalation_ratio=escalation_ratio,
-            source=source,
-        )
+        payload = codec.encode_delta_request(list(upserts), list(removed), seq=seq)
         try:
             frame = self._call(
                 codec.T_APPLY_DELTA, payload, timeout=self.request_timeout

@@ -401,21 +401,11 @@ def decode_lookup_response(
     return responses, generation, fingerprint
 
 
-def encode_delta_request(
-    upserts: list,
-    removed: list[str],
-    *,
-    seq: int,
-    escalation_ratio: float,
-    source: str | None = None,
-) -> bytes:
-    """Encode one shard-local delta slice (the patch as :func:`write_patch` writes it)."""
+def encode_delta_request(upserts: list, removed: list[str], *, seq: int) -> bytes:
+    """Encode one shard-local delta slice: ``seq``, then the patch as
+    :func:`write_patch` writes it."""
     writer = ByteWriter()
     writer.write_uvarint(seq)
-    writer.write_float(escalation_ratio)
-    writer.write_uvarint(0 if source is None else 1)
-    if source is not None:
-        writer.write_str(source)
     write_patch(writer, upserts, removed)
     return writer.getvalue()
 
@@ -424,17 +414,9 @@ def encode_delta_request(
 def decode_delta_request(payload: bytes) -> dict[str, object]:
     reader = ByteReader(payload)
     seq = reader.read_uvarint()
-    escalation_ratio = reader.read_float()
-    source = reader.read_str() if reader.read_uvarint() else None
     upserts, removed = read_patch(reader)
     reader.expect_eof()
-    return {
-        "upserts": upserts,
-        "removed": removed,
-        "seq": seq,
-        "escalation_ratio": escalation_ratio,
-        "source": source,
-    }
+    return {"upserts": upserts, "removed": removed, "seq": seq}
 
 
 def encode_generation(number: int) -> bytes:

@@ -610,24 +610,19 @@ class SynthesisDaemon:
         removed: Iterable[str],
         *,
         seq: int,
-        escalation_ratio: float = 0.25,
-        source: str | None = None,
     ) -> ServiceGeneration:
         """Patch the served mapping pool in place from one update-stream delta.
 
         ``upserts`` replace-or-add mappings by id; ``removed`` ids are dropped.
-        A small patch (change ratio at most ``escalation_ratio`` of the served
-        pool) is applied **without** a generation swap: the service's index is
-        spliced from the patched pool under the swap lock (unchanged mappings
-        keep their index entries — see :meth:`MappingService.with_pool`) and
-        the generation is re-issued with its stats, breaker, and number
-        intact — in-flight batches still snapshot one consistent service, and
-        observability counters keep accumulating.  A large patch escalates to a normal
-        :meth:`reload` swap: a new generation number, breaker and stats.  Its
-        service is built through :meth:`MappingService.with_pool` as well, so
-        the swap re-indexes only the upserts.  An update stream's patches
-        carry content changes only (mapping ids do not depend on rank), so
-        both the entries rebuilt and the ratio count real changes.
+        The service's index is spliced from the patched pool under the swap
+        lock (unchanged mappings keep their index entries — see
+        :meth:`MappingService.with_pool`) and the generation is re-issued with
+        its number, stats and breaker intact: a generation is one artifact
+        version, and a delta repairs it rather than replacing it.  In-flight
+        batches still snapshot one consistent service, and observability
+        counters keep accumulating.  An update stream's patches carry content
+        changes only (mapping ids do not depend on rank), so the entries
+        rebuilt count real changes.
 
         Daemons driven through this method should be constructed with
         ``watch=False``: an artifact watcher swaps in the *base* artifact,
@@ -639,43 +634,25 @@ class SynthesisDaemon:
         removed = list(removed)
         with self._swap_lock:
             current = self._generation
-            if not upserts and not removed:
-                self._note_delta(seq)
-                return current
-            base_pool = current.service.mapping_pool
-            by_id = {mapping.mapping_id: mapping for mapping in base_pool}
-            for mapping_id in removed:
-                by_id.pop(mapping_id, None)
-            for mapping in upserts:
-                by_id[mapping.mapping_id] = mapping
-            new_pool = list(by_id.values())
-            ratio = (len(upserts) + len(removed)) / max(1, len(base_pool))
-            if ratio <= escalation_ratio:
+            if upserts or removed:
+                by_id = {m.mapping_id: m for m in current.service.mapping_pool}
+                for mapping_id in removed:
+                    by_id.pop(mapping_id, None)
+                for mapping in upserts:
+                    by_id[mapping.mapping_id] = mapping
                 old_service = current.service
                 # with_pool reuses per-mapping index entries for the unchanged
                 # pool, so the splice costs O(changed mappings), not O(pool).
-                service = old_service.with_pool(new_pool, source=current.source)
+                service = old_service.with_pool(
+                    list(by_id.values()), source=current.source
+                )
                 # Transplant the old stats object so request/error counters
-                # (and the breaker window keyed off them) survive the patch —
-                # from an operator's view this is still the same generation.
-                stats = old_service.stats
-                stats.index_size = len(service.index)
-                service.stats = stats
+                # (and the breaker window keyed off them) survive the patch.
+                service.stats = old_service.stats
+                service.stats.index_size = len(service.index)
                 self._generation = replace(current, service=service)
-                self._note_delta(seq)
-                return self._generation
-        # Escalation: too much churn for an in-place patch — swap in a new
-        # generation (new number, breaker and stats).  Its service is spliced
-        # the same way, so unchanged mappings keep their entries.
-        source = source or f"delta:{seq}"
-        service = current.service.with_pool(new_pool, source=source)
-        generation = self.reload(
-            service,
-            source=source,
-            fingerprint=current.fingerprint,
-        )
-        self._note_delta(seq)
-        return generation
+            self._note_delta(seq)
+            return self._generation
 
     def _note_delta(self, seq: int) -> None:
         with self._delta_lock:

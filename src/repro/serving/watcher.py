@@ -5,12 +5,17 @@ The serving daemon stays up while :func:`repro.store.incremental.refresh_artifac
 combines two signals:
 
 * **In-process publish hooks** — :func:`repro.store.artifact.save_artifact`
-  notifies subscribers after its atomic rename, so same-process saves trigger a
-  reload immediately (and unconditionally, which also covers writers fast
-  enough to not advance the file's mtime).
-* **Polling** — a background thread compares the file's ``(mtime_ns, size)``
-  signature every ``poll_seconds``, which covers artifacts published by other
-  processes.
+  notifies subscribers after its atomic rename, so same-process saves are
+  checked immediately instead of on the next poll.
+* **Polling** — a background thread compares the file's
+  ``(st_ino, mtime_ns, size)`` signature every ``poll_seconds``, which covers
+  artifacts published by other processes.
+
+An atomic rename always gives the path a new inode (the replacement is
+written while the served file still exists), so every publish changes the
+signature, even one too fast to advance the mtime or one that re-saves
+identical bytes.  Each version is therefore loaded exactly once, however
+many checks — hook, poll, :meth:`SynthesisDaemon.await_generation` — see it.
 
 Either way the artifact is re-read through :func:`load_artifact` and
 checksum-validated **before** the callback sees it, so a damaged or
@@ -28,9 +33,10 @@ the budget is exhausted the watcher *pins* the current on-disk version as
 poisoned — the daemon keeps serving the last good generation, the condition
 is reported through :meth:`ArtifactWatcher.health` (and the daemon's
 ``health()``), and the next *new* publish is still tried, so recovery is
-automatic the moment a good artifact lands.  Forced checks (the in-process
-publish hook) bypass the backoff: a publisher we just heard from deserves an
-immediate look.  When a :class:`~repro.faults.FaultInjector` is active, the
+automatic the moment a good artifact lands.  The in-process publish hook
+clears the backoff, so a publisher we just heard from gets an immediate
+look; ``check_now(force=True)`` goes further and reloads even an unchanged
+signature.  When a :class:`~repro.faults.FaultInjector` is active, the
 watcher is also a chaos hook point: reload candidates can be deterministically
 treated as failed publishes or fed corrupted bytes.
 """
@@ -74,7 +80,7 @@ class ArtifactWatcher:
         *,
         poll_seconds: float = 0.25,
         subscribe: bool = True,
-        baseline: tuple[int, int] | None = None,
+        baseline: tuple[int, int, int] | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         if poll_seconds <= 0:
@@ -100,7 +106,7 @@ class ArtifactWatcher:
         #: The on-disk signature pinned as poisoned after the retry budget was
         #: exhausted — that exact file state is never retried, but any *new*
         #: publish (different signature) is, so recovery is automatic.
-        self._pinned_signature: tuple[int, int] | None = None
+        self._pinned_signature: tuple[int, int, int] | None = None
         #: Monotonic instant before which unforced checks skip (backoff).
         self._retry_at = 0.0
         self._on_artifact = on_artifact
@@ -114,7 +120,6 @@ class ArtifactWatcher:
         )
         self._stop = threading.Event()
         self._wake = threading.Event()
-        self._forced = False
         self._check_lock = threading.Lock()
         self._poller: threading.Thread | None = None
         self._unsubscribe = (
@@ -153,10 +158,8 @@ class ArtifactWatcher:
         """Check the path once; reload + callback on a new version.
 
         Returns True when a new version was handed to the callback.  ``force``
-        reloads even if the file signature looks unchanged (used by the
-        in-process publish hook, where we *know* a save just happened) and
-        bypasses the failure backoff — a publisher we just heard from deserves
-        an immediate look.  Failures never propagate: they are counted,
+        reloads even if the file signature looks unchanged and bypasses the
+        failure backoff.  Failures never propagate: they are counted,
         backed off, eventually pinned, and reported via :meth:`health`.
         """
         with self._check_lock:
@@ -212,7 +215,7 @@ class ArtifactWatcher:
             self._record_success()
             return True
 
-    def _record_failure(self, signature: tuple[int, int], message: str) -> None:
+    def _record_failure(self, signature: tuple[int, int, int], message: str) -> None:
         # Check lock held.
         self.last_error = message
         self.last_swap_ok = False
@@ -255,28 +258,31 @@ class ArtifactWatcher:
         }
 
     @staticmethod
-    def signature_of(path: str | Path) -> tuple[int, int] | None:
-        """The ``(mtime_ns, size)`` change signature of ``path`` right now."""
+    def signature_of(path: str | Path) -> tuple[int, int, int] | None:
+        """The ``(st_ino, mtime_ns, size)`` change signature of ``path`` now."""
         try:
             stat = Path(path).stat()
         except OSError:
             return None
-        return (stat.st_mtime_ns, stat.st_size)
+        return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
 
-    def _current_signature(self) -> tuple[int, int] | None:
+    def _current_signature(self) -> tuple[int, int, int] | None:
         return self.signature_of(self.path)
 
     def _on_published(self, _path: Path) -> None:
-        # Runs on the publishing thread; defer the reload to the watcher thread
+        # Runs on the publishing thread; defer the check to the watcher thread
         # so a slow service build never blocks the writer.
-        self._forced = True
         self._wake.set()
 
     def _run(self) -> None:
         while True:
-            self._wake.wait(self.poll_seconds)
+            published = self._wake.wait(self.poll_seconds)
             self._wake.clear()
             if self._stop.is_set():
                 return
-            forced, self._forced = self._forced, False
-            self.check_now(force=forced)
+            if published:
+                # The new file has a new signature, so an ordinary check loads
+                # it; only the backoff left by an earlier failed version goes.
+                with self._check_lock:
+                    self._retry_at = 0.0
+            self.check_now()

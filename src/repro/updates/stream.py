@@ -20,16 +20,16 @@ consistent for a served corpus:
    and reads nothing back.
 4. **Live serving.**  The patch fans out to an attached
    :class:`~repro.serving.SynthesisDaemon` and/or
-   :class:`~repro.cluster.ClusterRouter` via their ``apply_delta`` — in-place
-   index splices for patches touching at most ``escalation_ratio`` of the
-   served pool (default 25%), full generation swaps past it, so oversized
-   updates keep the drain/rollback semantics of a redeploy.  The fan-out
-   happens even when the journal write fails: the engine has already moved
-   on and later patches are diffs against its state, so a serving tier that
-   missed one patch would stay wrong.
+   :class:`~repro.cluster.ClusterRouter` via their ``apply_delta``, which
+   splices it into the served index in place: the generation number, stats
+   and breaker stay, because a generation is one artifact version and a
+   streamed patch repairs it.  The fan-out happens even when the journal
+   write fails: the engine has already moved on and later patches are diffs
+   against its state, so a serving tier that missed one patch would stay
+   wrong.
 
 Once the log holds ``compact_threshold`` entries (default 64),
-:meth:`UpdateStream.apply` folds them back automatically:
+:meth:`UpdateStream.apply` folds them back:
 :meth:`UpdateStream.compact` re-saves the engine's current artifact (dropping
 the journal — :func:`~repro.store.artifact.save_artifact` publishes a whole
 new container) and truncates the log, preserving sequence numbers.
@@ -56,9 +56,8 @@ __all__ = ["UpdateStream"]
 class UpdateStream:
     """Sequences deltas through log, engine, artifact journal, and serving tier.
 
-    ``escalation_ratio`` is the largest fraction of the served pool one delta
-    may touch while still being spliced in place; ``compact_threshold`` is
-    how many log entries accumulate before :meth:`apply` auto-compacts.
+    ``compact_threshold`` is how many log entries accumulate before
+    :meth:`apply` compacts.
     """
 
     def __init__(
@@ -69,14 +68,8 @@ class UpdateStream:
         artifact_path: str | Path | None = None,
         daemon=None,
         router=None,
-        auto_compact: bool = True,
-        escalation_ratio: float = 0.25,
         compact_threshold: int = 64,
     ) -> None:
-        if not 0 < escalation_ratio <= 1:
-            raise ValueError(
-                f"escalation_ratio must be in (0, 1], got {escalation_ratio}"
-            )
         if compact_threshold < 1:
             raise ValueError(
                 f"compact_threshold must be >= 1, got {compact_threshold}"
@@ -86,8 +79,6 @@ class UpdateStream:
         self.artifact_path = Path(artifact_path) if artifact_path else None
         self.daemon = daemon
         self.router = router
-        self.auto_compact = auto_compact
-        self.escalation_ratio = escalation_ratio
         self.compact_threshold = compact_threshold
         self.compactions = 0
         #: Where this stream's last journal append left the artifact; ``None``
@@ -132,8 +123,8 @@ class UpdateStream:
         :class:`~repro.updates.deltalog.DeltaLogError` (real or injected)
         propagates before the engine or any serving surface is touched.  A
         failed journal write still fans the patch out before it propagates
-        (skipping auto-compaction).  Auto-compacts afterwards when the log
-        reaches ``compact_threshold``.
+        (skipping compaction).  Compacts afterwards when the log reaches
+        ``compact_threshold``.
         """
         seq = self.log.append(delta)
         patch = self.engine.apply(delta)
@@ -149,23 +140,16 @@ class UpdateStream:
                 )
         finally:
             self._fan_out(patch, seq)
-        if self.auto_compact and len(self.log) >= self.compact_threshold:
+        if len(self.log) >= self.compact_threshold:
             self.compact()
         return patch
 
     def _fan_out(self, patch: PoolPatch, seq: int) -> None:
-        ratio = self.escalation_ratio
         if self.daemon is not None:
-            self.daemon.apply_delta(
-                patch.upserts, patch.removed, seq=seq, escalation_ratio=ratio
-            )
+            self.daemon.apply_delta(patch.upserts, patch.removed, seq=seq)
         if self.router is not None:
             self.router.apply_delta(
-                patch.upserts,
-                patch.removed,
-                seq=seq,
-                escalation_ratio=ratio,
-                pool_size=patch.pool_size,
+                patch.upserts, patch.removed, seq=seq, pool_size=patch.pool_size
             )
 
     # -- Compaction ----------------------------------------------------------------------

@@ -98,8 +98,7 @@ def test_delta_log_bytes_are_pinned(tmp_path):
 
 def test_wire_frame_bytes_are_pinned():
     delta_request = net_codec.encode_delta_request(
-        MAPPINGS, ["mapping-c4", "mapping-c5"], seq=12, escalation_ratio=0.25,
-        source="shard-0",
+        MAPPINGS, ["mapping-c4", "mapping-c5"], seq=12
     )
     frames = [
         encode_frame(frame_type, frame_type * 1_000_003, bytes([frame_type]) * frame_type)
@@ -109,10 +108,10 @@ def test_wire_frame_bytes_are_pinned():
     frames.append(encode_frame(net_codec.T_PONG, 0))
 
     assert _sha(delta_request) == (
-        "4cba129ac1a25a34ebae008de0fa9fbb770aa385e7c2101b8ed81d0b8575f879"
+        "49da833178cad87e15946fd9d62885343bf10dccc03c2487d14d080bd1020c3b"
     )
     assert [_sha(frame) for frame in frames[-2:]] + [_sha(b"".join(frames))] == [
-        "ab7ef07622db5387ed1074c4a6c8537658c835ab0e52be43a442562b0cc4a29d",
+        "57b2385c34a311cba31dae5422798d11cc9f12484cc7f85e8101d82ef0b821c3",
         "04c0febf2cb62d67313edbd98ca18e21e743a6aa786a22223f6abafc6a58711b",
-        "5304253b5f33ae8072c8705ef32de2338fa5c1afe73ef2c0c16408d5dd60f536",
+        "e21b60a073b45544360a34e0dd733c6e4809cf553b7504e82a6d862d3292e928",
     ]

@@ -62,9 +62,7 @@ def valid(tmp_path_factory):
     log = DeltaLog(home / "valid.log")
     for delta in DELTAS:
         log.append(delta)
-    request = net_codec.encode_delta_request(
-        MAPPINGS, ["gone"], seq=3, escalation_ratio=0.5, source=None
-    )
+    request = net_codec.encode_delta_request(MAPPINGS, ["gone"], seq=3)
     return {
         "home": home,
         "container": container,
@@ -280,9 +278,7 @@ def test_mapping_metadata_that_is_not_an_object_is_a_typed_error(tmp_path):
         column_names=("country", "iso3"),
         metadata=[1],
     )
-    request = net_codec.encode_delta_request(
-        [odd], [], seq=1, escalation_ratio=0.5, source=None
-    )
+    request = net_codec.encode_delta_request([odd], [], seq=1)
     with pytest.raises(ProtocolError, match="not a JSON object"):
         net_codec.decode_delta_request(request)
     response = net_codec.encode_lookup_response(

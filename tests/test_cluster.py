@@ -432,7 +432,7 @@ class TestRollout:
 
             generations = router.rollout(v2_path, timeout=30)
             assert all(
-                after > before
+                after == before + 1
                 for after, before in zip(generations, generations_before)
             )
             assert canonical(router.autofill(batch)) == canonical(
@@ -448,7 +448,7 @@ class TestRollout:
             router.kill(2)
             generations = router.rollout(artifact_path, timeout=30)
             assert generations[2] == 1  # dead replica never advanced
-            assert generations[0] > 1 and generations[1] > 1
+            assert generations[0] == 2 and generations[1] == 2
             batch = [FillRequest(keys=("California", "Texas"))]
             assert canonical(router.autofill(batch)) == canonical(
                 oracle.autofill(batch)

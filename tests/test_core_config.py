@@ -135,7 +135,7 @@ class TestComponentOwnedSettings:
                  "poll_seconds": 0.25, "request_timeout": 30.0},
             ),
             (RemoteReplica, {"connect_timeout": 5.0}),
-            (UpdateStream, {"escalation_ratio": 0.25, "compact_threshold": 64}),
+            (UpdateStream, {"compact_threshold": 64}),
             (save_artifact, {"compress": True}),
         ],
     )
@@ -146,8 +146,6 @@ class TestComponentOwnedSettings:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: UpdateStream(None, None, escalation_ratio=0.0),
-            lambda: UpdateStream(None, None, escalation_ratio=1.5),
             lambda: UpdateStream(None, None, compact_threshold=0),
             lambda: SynthesisDaemon.from_artifact("missing", poll_seconds=0.0),
             lambda: ClusterRouter.from_artifact("missing", request_timeout=0.0),

@@ -558,6 +558,34 @@ class TestArtifactWatcher:
         finally:
             daemon.close()
 
+    def test_each_publish_makes_exactly_one_reload(self, store_corpus, tmp_path):
+        """One generation per artifact version, however many checks see it.
+
+        ``await_generation`` checks the watcher itself while the publish hook
+        wakes the watcher thread for its own check; both see the same new
+        file, and only the first may load it.  An identical re-save is still
+        a new version (the atomic rename gives the path a new inode).
+        """
+        from repro.store.artifact import load_artifact, save_artifact
+
+        path = tmp_path / "served.artifact.gz"
+        pipeline = SynthesisPipeline(_store_config())
+        pipeline.run(store_corpus)
+        pipeline.save_artifact(path)
+        daemon = SynthesisDaemon.from_artifact(path, watch=True, workers=1)
+        try:
+            for step in range(5):
+                if step == 2:
+                    save_artifact(load_artifact(path), path)
+                else:
+                    pipeline.save_artifact(path)
+                assert daemon.await_generation(step + 2, timeout=30) == step + 2
+            time.sleep(0.6)  # room for any late deferred or polled check
+            assert daemon.generation.number == 6
+            assert daemon.watcher.reloads == 5
+        finally:
+            daemon.close()
+
     def test_version_published_during_startup_is_not_missed(
         self, store_corpus, tmp_path
     ):

@@ -292,7 +292,7 @@ def test_process_spec_daemon_serves_on_threads_and_patches_in_place(
     ) as daemon:
         assert daemon.workers == 2
         pool = daemon.generation.service.mapping_pool
-        assert len(pool) >= 4  # one removal stays under the escalation ratio
+        assert len(pool) >= 4
         dropped = pool[0]
         pairs = sorted((pair.left, pair.right) for pair in dropped.pairs)[:3]
         lefts = tuple(left for left, _ in pairs)

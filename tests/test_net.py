@@ -189,13 +189,11 @@ def test_lookup_request_payload_round_trip():
 
 def test_delta_generation_and_error_payload_round_trips(oracle):
     mapping = oracle.mapping_pool[0]
-    payload = codec.encode_delta_request(
-        [mapping], ["gone-1", "gone-2"], seq=41, escalation_ratio=0.5, source="s"
-    )
+    payload = codec.encode_delta_request([mapping], ["gone-1", "gone-2"], seq=41)
     delta = codec.decode_delta_request(payload)
     assert [m.mapping_id for m in delta["upserts"]] == [mapping.mapping_id]
     assert delta["removed"] == ["gone-1", "gone-2"]
-    assert (delta["seq"], delta["escalation_ratio"], delta["source"]) == (41, 0.5, "s")
+    assert delta["seq"] == 41
 
     assert codec.decode_generation(codec.encode_generation(9)) == 9
 
@@ -406,9 +404,7 @@ def test_apply_delta_over_the_wire(artifact_path, oracle):
             )
             victim = oracle.cluster_lookup((LOOKUP,))[0].result[0].mapping
             # Remove one mapping over the wire: it must vanish from answers.
-            client.apply_delta(
-                [], [victim.mapping_id], seq=1, escalation_ratio=1.0
-            )
+            client.apply_delta([], [victim.mapping_id], seq=1)
             result = client.submit("cluster_lookup", batch, deadline=10.0)
             hit_ids = {
                 match.mapping.mapping_id
@@ -418,7 +414,7 @@ def test_apply_delta_over_the_wire(artifact_path, oracle):
             assert victim.mapping_id not in hit_ids
             # Upsert it back (the mapping crosses the wire as a codec
             # section): answers return to the oracle byte-for-byte.
-            client.apply_delta([victim], [], seq=2, escalation_ratio=1.0)
+            client.apply_delta([victim], [], seq=2)
             result = client.submit("cluster_lookup", batch, deadline=10.0)
             assert canonical(result.result(15.0).responses) == canonical(
                 oracle.cluster_lookup(batch)

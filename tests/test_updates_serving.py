@@ -8,9 +8,8 @@ byte-identical to a synchronous :class:`MappingService` built from a **cold
 pipeline rebuild** over the updated corpus — including with one replica killed
 mid-stream (replication 2 keeps every shard covered).
 
-Also covers the in-place/escalation split (small patches keep the generation
-number; oversized ones take the full reload path) and delta rejection on a
-closed daemon.
+Also covers the in-place splice (a patch of any size keeps the generation
+number, stats and breaker) and delta rejection on a closed daemon.
 """
 
 from __future__ import annotations
@@ -98,11 +97,11 @@ def assert_serves_like(daemon: SynthesisDaemon, oracle: MappingService) -> None:
 
 
 # ---------------------------------------------------------------------------------------
-# Daemon: in-place patch vs escalation
+# Daemon: patches splice in place
 # ---------------------------------------------------------------------------------------
 def test_small_patch_applies_in_place(base_corpus, tmp_path):
-    # The test pool is a handful of mappings, so any real patch exceeds the
-    # default 25% escalation ratio; raising it to 1.0 forces the in-place path.
+    # The test pool is a handful of mappings, so the patch touches a large
+    # share of it; it still splices into the same generation.
     config = SynthesisConfig(
         use_pmi_filter=False,
         min_domains=1,
@@ -112,14 +111,16 @@ def test_small_patch_applies_in_place(base_corpus, tmp_path):
     engine = IncrementalEngine(base_corpus, config)
     daemon = daemon_for(engine)
     try:
-        stream = UpdateStream(
-            engine, DeltaLog(tmp_path / "d.log"), daemon=daemon, escalation_ratio=1.0
-        )
-        generation_before = daemon.generation.number
-        stream.apply(DELTA_CATALOG[0])
+        stream = UpdateStream(engine, DeltaLog(tmp_path / "d.log"), daemon=daemon)
+        generation_before = daemon.generation
+        patch = stream.apply(DELTA_CATALOG[0])
+        assert not patch.is_empty
 
-        # In-place: same generation number, patched pool, counted in health.
-        assert daemon.generation.number == generation_before
+        # In-place: same generation number, stats and breaker, patched pool,
+        # counted in health.
+        assert daemon.generation.number == generation_before.number
+        assert daemon.generation.stats is generation_before.stats
+        assert daemon.generation.breaker is generation_before.breaker
         health = daemon.health()
         assert health["deltas_applied"] == 1
         assert health["last_delta_seq"] == 1
@@ -128,33 +129,6 @@ def test_small_patch_applies_in_place(base_corpus, tmp_path):
         assert {m.mapping_id: m for m in pool} == {
             m.mapping_id: m for m in engine.pool
         }
-        assert_serves_like(daemon, cold_oracle(engine.corpus))
-    finally:
-        daemon.close()
-
-
-def test_oversized_patch_escalates_to_reload(base_corpus, tmp_path):
-    config = SynthesisConfig(
-        use_pmi_filter=False,
-        min_domains=1,
-        min_mapping_size=2,
-        min_rows=4,
-    )
-    engine = IncrementalEngine(base_corpus, config)
-    daemon = daemon_for(engine)
-    try:
-        stream = UpdateStream(
-            engine,
-            DeltaLog(tmp_path / "d.log"),
-            daemon=daemon,
-            escalation_ratio=0.001,
-        )
-        generation_before = daemon.generation.number
-        patch = stream.apply(DELTA_CATALOG[0])
-        assert not patch.is_empty
-        # Past the escalation ratio the daemon takes the full reload path.
-        assert daemon.generation.number == generation_before + 1
-        assert daemon.health()["deltas_applied"] == 1
         assert_serves_like(daemon, cold_oracle(engine.corpus))
     finally:
         daemon.close()
@@ -189,8 +163,7 @@ RANK_SHIFT = TableDelta(
 )
 
 
-@pytest.mark.parametrize("escalation_ratio", [1.0, 1e-9], ids=["in-place", "escalating"])
-def test_a_rank_shift_yields_an_empty_patch(monkeypatch, tmp_path, escalation_ratio):
+def test_a_rank_shift_yields_an_empty_patch(monkeypatch, tmp_path):
     """Served mappings that only move in the order are not patched at all."""
     corpus = make_fragment_corpus(
         {
@@ -209,12 +182,7 @@ def test_a_rank_shift_yields_an_empty_patch(monkeypatch, tmp_path, escalation_ra
     try:
         computed = count_index_entries(monkeypatch)
         generation = daemon.generation.number
-        stream = UpdateStream(
-            engine,
-            DeltaLog(tmp_path / "d.log"),
-            daemon=daemon,
-            escalation_ratio=escalation_ratio,
-        )
+        stream = UpdateStream(engine, DeltaLog(tmp_path / "d.log"), daemon=daemon)
 
         patch = stream.apply(RANK_SHIFT)
 
@@ -247,8 +215,7 @@ def seeded_edits(corpus, seed: int, count: int):
 
 
 #: Enough relations that an edit changes two or three of the ~17 mappings:
-#: under an escalation ratio of 0.15 some patches splice in place and some
-#: escalate.
+#: some patches change more than 15% of the served pool and some less.
 CONTENT_RELATIONS = (
     "state_abbrev",
     "country_iso3",
@@ -262,11 +229,11 @@ CONTENT_RELATIONS = (
 
 
 def test_streamed_patches_carry_content_changes_only(monkeypatch, tmp_path):
-    """A daemon started from the artifact re-indexes and escalates on real changes only.
+    """A daemon started from the artifact re-indexes real changes only.
 
     Every upsert differs from the mapping the daemon served under its id, each
-    costs exactly one index entry, and the generation advances exactly when
-    the changes exceed the escalation ratio.
+    costs exactly one index entry, and the generation never moves, also for
+    the patches that change more than 15% of the served pool.
     """
     fragments = {}
     for number, relation in enumerate(CONTENT_RELATIONS):
@@ -275,16 +242,13 @@ def test_streamed_patches_carry_content_changes_only(monkeypatch, tmp_path):
     engine = IncrementalEngine(corpus, CONFIG)
     path = save_artifact(engine.artifact(), tmp_path / "served.bin")
     daemon = SynthesisDaemon.from_artifact(path, config=CONFIG, watch=False, workers=1)
-    ratio = 0.15
     try:
-        stream = UpdateStream(
-            engine, DeltaLog(tmp_path / "d.log"), daemon=daemon, escalation_ratio=ratio
-        )
+        stream = UpdateStream(engine, DeltaLog(tmp_path / "d.log"), daemon=daemon)
         computed = count_index_entries(monkeypatch)
-        upserted = swaps = 0
+        generation = daemon.generation.number
+        upserted = large = 0
         for delta in seeded_edits(corpus, seed=11, count=40):
             served = {m.mapping_id: m for m in daemon.generation.service.mapping_pool}
-            generation = daemon.generation.number
             computed.clear()
 
             patch = stream.apply(delta)
@@ -292,11 +256,10 @@ def test_streamed_patches_carry_content_changes_only(monkeypatch, tmp_path):
             for mapping in patch.upserts:
                 assert served.get(mapping.mapping_id) != mapping
             assert sorted(computed) == sorted(m.mapping_id for m in patch.upserts)
-            escalates = patch.change_count / len(served) > ratio
-            assert daemon.generation.number == generation + escalates
+            assert daemon.generation.number == generation
             upserted += len(patch.upserts)
-            swaps += escalates
-        assert upserted > 0 and 0 < swaps < 40
+            large += patch.change_count / len(served) > 0.15
+        assert upserted > 0 and 0 < large < 40
         monkeypatch.undo()
         assert_serves_like(daemon, cold_oracle(engine.corpus))
     finally:
@@ -338,7 +301,6 @@ def test_failed_journal_write_still_reaches_the_daemon(
             DeltaLog(tmp_path / "d.log"),
             artifact_path=path,
             daemon=daemon,
-            escalation_ratio=1.0,
         )
         with pytest.raises(OSError, match="injected"):
             stream.apply(DELTA_CATALOG[0])
