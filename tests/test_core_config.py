@@ -12,7 +12,7 @@ from repro.cluster import ClusterRouter
 from repro.core.config import SynthesisConfig
 from repro.net.client import RemoteReplica
 from repro.net.server import ReplicaServer, serve_shard
-from repro.serving import SynthesisDaemon
+from repro.serving import ArtifactWatcher, SynthesisDaemon
 from repro.store import save_artifact
 from repro.updates import UpdateStream
 
@@ -152,6 +152,8 @@ class TestComponentOwnedSettings:
             lambda: ClusterRouter.from_artifact("missing", transport="udp"),
             lambda: ReplicaServer(None, request_timeout=0.0),
             lambda: RemoteReplica("127.0.0.1", 1, connect_timeout=0.0),
+            lambda: ArtifactWatcher("missing", lambda *_: None, poll_seconds=0.0),
+            lambda: ClusterRouter.from_artifact("missing", num_shards=0),
         ],
     )
     def test_component_range_checks(self, build):

@@ -134,6 +134,29 @@ def test_small_patch_applies_in_place(base_corpus, tmp_path):
         daemon.close()
 
 
+def test_oversized_patch_splices_in_place(base_corpus, tmp_path):
+    """A patch that touches every served mapping still keeps the generation."""
+    engine = IncrementalEngine(base_corpus, CONFIG)
+    daemon = daemon_for(engine)
+    try:
+        stream = UpdateStream(engine, DeltaLog(tmp_path / "d.log"), daemon=daemon)
+        generation_before = daemon.generation
+        served = len(generation_before.service.mapping_pool)
+        # Dropping the table that anchors the served state mappings replaces
+        # both of them and removes their old ids: as many changes as mappings.
+        patch = stream.apply(TableDelta(table_id="sa0-state_abbrev", drop=True))
+        assert patch.removed and patch.upserts
+        assert patch.change_count >= served
+
+        assert daemon.generation.number == generation_before.number
+        assert daemon.generation.stats is generation_before.stats
+        assert daemon.generation.breaker is generation_before.breaker
+        assert daemon.health()["deltas_applied"] == 1
+        assert_serves_like(daemon, cold_oracle(engine.corpus))
+    finally:
+        daemon.close()
+
+
 def count_index_entries(monkeypatch) -> list[str]:
     """Record the id of every mapping whose index entry gets computed."""
     computed: list[str] = []
