@@ -85,11 +85,11 @@ def main() -> None:
         thread.join()
 
     # 5. Operators poll health(): one JSON-able snapshot of generation, queue,
-    #    breaker, shed-load counters, and watcher degradation.
+    #    shed-load counters, and watcher degradation.
     health = daemon.health()
     print(f"health: {health['status']}, generation {health['generation']}, "
           f"queue {health['queue_depth']}/{health['queue_size']}, "
-          f"breaker {health['breaker']['state']}")
+          f"shed {health['shed']}")
 
     # 6. Chaos drill: every publish in this block is deterministically treated
     #    as failed.  The watcher backs off, then pins the last good generation

@@ -180,12 +180,6 @@ class ServiceStats:
     rejected: int = 0
     #: Batches failed because their deadline expired while still queued.
     expired: int = 0
-    #: Batches re-submitted by a retrying client wrapper.
-    retried: int = 0
-    #: Times this generation's circuit breaker transitioned to open.
-    breaker_opened: int = 0
-    #: Batches rejected because the circuit breaker was open.
-    breaker_rejections: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
@@ -196,13 +190,7 @@ class ServiceStats:
         Only the shed-load counters are reachable — the served-path counters
         must go through :meth:`record` so their dicts stay consistent.
         """
-        if counter not in {
-            "rejected",
-            "expired",
-            "retried",
-            "breaker_opened",
-            "breaker_rejections",
-        }:
+        if counter not in {"rejected", "expired"}:
             raise ValueError(f"unknown shed-load counter {counter!r}")
         with self._lock:
             value = getattr(self, counter) + amount
@@ -262,13 +250,7 @@ class ServiceStats:
                 "requests": dict(self.requests),
                 "errors": dict(self.errors),
                 "serve_seconds": dict(self.serve_seconds),
-                "shed": {
-                    "rejected": self.rejected,
-                    "expired": self.expired,
-                    "retried": self.retried,
-                    "breaker_opened": self.breaker_opened,
-                    "breaker_rejections": self.breaker_rejections,
-                },
+                "shed": {"rejected": self.rejected, "expired": self.expired},
             }
 
 

@@ -13,11 +13,11 @@ halves:
   chaos leg's schedule.
 * :mod:`repro.faults.retry` — :class:`RetryPolicy`: capped exponential
   backoff with deterministic jitter and an exception filter, shared by the
-  process-pool rebuild loop, the watcher's hot-swap retries, and client-side
-  shed-load retries.
-* :mod:`repro.faults.breaker` — :class:`CircuitBreaker`: the per-generation
-  closed → open → half-open admission gate the serving daemon uses to fail
-  fast on a generation whose error rate spikes.
+  process-pool rebuild loop, the watcher's hot-swap retries, the tcp
+  client's reconnects, and the cluster router's scatter retries.
+* :mod:`repro.faults.breaker` — :class:`CircuitBreaker`: the closed → open →
+  half-open admission gate the cluster router keeps per replica, so a
+  scatter routes around a failing replica.
 
 The invariant every recovery path preserves: **results are byte-identical to
 the fault-free run**.  Retries re-run pure tasks; degradations land on the

@@ -1,22 +1,18 @@
-"""A per-generation circuit breaker for the serving daemon.
+"""The cluster router's per-replica circuit breaker.
 
-The classic three-state machine (closed → open → half-open), tuned for the
-daemon's batch shape:
+:class:`~repro.cluster.ClusterRouter` gives every replica one breaker, the
+serving tier's only one.  The classic three-state machine (closed → open →
+half-open):
 
-* **closed** — everything flows; per-request outcomes feed a bounded sliding
+* **closed** — everything flows; per-lookup outcomes feed a bounded sliding
   window.  When the window holds at least ``min_requests`` outcomes and the
   error rate reaches ``error_threshold``, the breaker trips **open**.
-* **open** — requests fail fast (the daemon rejects them with
-  ``CircuitOpenError``) instead of burning workers on a generation that is
-  answering wrong.  After ``cooldown_seconds`` the next request is admitted as
-  a **half-open** probe.
-* **half-open** — exactly one probe batch is in flight; its outcome decides:
-  clean (error rate below threshold) closes the breaker and resets the
-  window, errors re-open it for another cooldown.
-
-``error_threshold <= 0`` disables the breaker entirely (the daemon's default:
-per-request errors are already isolated in their envelopes, so tripping is an
-explicit operator opt-in via ``SynthesisDaemon``'s ``breaker_threshold``).
+* **open** — the router's cover-picker routes around the replica instead of
+  sending it lookups that would fail.  After ``cooldown_seconds`` the next
+  lookup is admitted as a **half-open** probe.
+* **half-open** — exactly one probe is in flight; its outcome decides: clean
+  (error rate below threshold) closes the breaker and resets the window,
+  errors re-open it for another cooldown.
 
 The breaker never *resolves* anything itself — it only gates admission — so a
 wrongly-tripped breaker costs availability, never correctness.  All state is
@@ -45,9 +41,10 @@ class CircuitBreaker:
         window: int = 128,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if error_threshold > 1.0:
+        if not 0.0 < error_threshold <= 1.0:
             raise ValueError(
-                f"error_threshold is a rate and must be <= 1, got {error_threshold}"
+                "error_threshold is a rate and must be in (0, 1], "
+                f"got {error_threshold}"
             )
         if min_requests < 1:
             raise ValueError(f"min_requests must be >= 1, got {min_requests}")
@@ -75,15 +72,8 @@ class CircuitBreaker:
         self._lock = threading.Lock()
 
     @property
-    def enabled(self) -> bool:
-        """False when ``error_threshold <= 0`` (the breaker never trips)."""
-        return self.error_threshold > 0.0
-
-    @property
     def state(self) -> str:
-        """``"closed"``, ``"open"``, or ``"half-open"`` (``"disabled"`` if off)."""
-        if not self.enabled:
-            return "disabled"
+        """``"closed"``, ``"open"``, or ``"half-open"``."""
         with self._lock:
             return self._effective_state()
 
@@ -110,8 +100,6 @@ class CircuitBreaker:
         admitted after the cooldown becomes the probe, and further batches are
         rejected until :meth:`record` resolves it.
         """
-        if not self.enabled:
-            return True
         with self._lock:
             state = self._effective_state()
             if state == "closed":
@@ -134,13 +122,13 @@ class CircuitBreaker:
         In half-open state this resolves the probe: a clean batch closes the
         breaker (and resets the window), an errored one re-opens it.
         """
-        if not self.enabled or (ok <= 0 and errors <= 0):
+        if ok <= 0 and errors <= 0:
             return False
         with self._lock:
             if self._state == "half-open":
                 self._probe_in_flight = False
                 total = ok + errors
-                if errors / total < max(self.error_threshold, 1e-9):
+                if errors / total < self.error_threshold:
                     self._state = "closed"
                     self._errors.clear()
                     return False
@@ -165,9 +153,7 @@ class CircuitBreaker:
         self._probe_in_flight = False
 
     def snapshot(self) -> dict[str, object]:
-        """A consistent, JSON-able view for ``SynthesisDaemon.health()``."""
-        if not self.enabled:
-            return {"state": "disabled"}
+        """A consistent, JSON-able view for ``ClusterRouter.health()``."""
         with self._lock:
             state = self._effective_state()
             return {

@@ -17,8 +17,9 @@ reconnects lazily under the client's :class:`~repro.faults.RetryPolicy`.
 
 Remote failures arrive as typed error envelopes and are re-raised as the *same*
 exception classes the in-process daemon raises (``DeadlineExpiredError``,
-``QueueFullError``, ...), so every caller-side failure policy — router retries,
-breaker filters, test assertions — behaves identically across transports.
+``QueueFullError``, ...), so every caller-side failure policy — the router's
+retries and per-replica breakers, test assertions — behaves identically
+across transports.
 
 Deadlines fail fast on this side too: the remaining budget is measured *after*
 any injected/real send-side stall, encoded into the frame, and re-enforced by
@@ -42,7 +43,6 @@ from repro.faults.retry import RetryPolicy
 from repro.net import codec
 from repro.net.codec import Frame, TornFrameError, TransportStats
 from repro.serving.daemon import (
-    CircuitOpenError,
     DaemonError,
     DaemonStoppedError,
     DeadlineExpiredError,
@@ -67,13 +67,12 @@ class RemoteReplicaError(RuntimeError):
 
 
 #: Remote error-envelope types re-raised as their local classes, so failure
-#: handling (router retries, breaker policy, tests) is transport-agnostic.
+#: handling (router retries, tests) is transport-agnostic.
 _ERROR_CLASSES: dict[str, type[Exception]] = {
     "DaemonError": DaemonError,
     "QueueFullError": QueueFullError,
     "DeadlineExpiredError": DeadlineExpiredError,
     "DaemonStoppedError": DaemonStoppedError,
-    "CircuitOpenError": CircuitOpenError,
     "ValueError": ValueError,
     "TimeoutError": TimeoutError,
 }
@@ -305,7 +304,6 @@ class RemoteReplica:
         deadline: float | None = None,
         block: bool = False,
         timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> _RemoteTicket:
         """Send one ``cluster_lookup`` batch; returns a future-backed ticket.
 

@@ -17,17 +17,16 @@ by one generation** — answers are byte-identical to synchronous
 :class:`MappingService` calls against that generation's artifact, before,
 during, and after a hot reload.
 
-The serving tier also **degrades gracefully** (see :mod:`repro.faults`): each
-generation carries an optional circuit breaker (closed → open → half-open;
-open fails fast with :class:`CircuitOpenError`), failed or corrupt hot-swaps
-retry with backoff and then pin the last good generation rather than crash
-the watcher, and :meth:`SynthesisDaemon.health` snapshots queue depth,
-breaker state, shed-load counters, and watcher degradation in one JSON-able
-dict for operators to poll.
+The serving tier also **degrades gracefully** (see :mod:`repro.faults`):
+failed or corrupt hot-swaps retry with backoff and then pin the last good
+generation rather than crash the watcher, and :meth:`SynthesisDaemon.health`
+snapshots queue depth, shed-load counters, and watcher degradation in one
+JSON-able dict for operators to poll.  A daemon has no circuit breaker or
+submit-side retry of its own; across replicas both are the
+:class:`~repro.cluster.ClusterRouter`'s.
 """
 
 from repro.serving.daemon import (
-    CircuitOpenError,
     DaemonError,
     DaemonResult,
     DaemonStoppedError,
@@ -49,7 +48,6 @@ __all__ = [
     "QueueFullError",
     "DeadlineExpiredError",
     "DaemonStoppedError",
-    "CircuitOpenError",
     "ArtifactWatcher",
     "INPROC_TRANSPORT_SNAPSHOT",
 ]

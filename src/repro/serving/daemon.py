@@ -42,6 +42,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, wait as wait_futures
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -58,7 +59,6 @@ from repro.applications.service import (
 )
 from repro.core.config import SynthesisConfig
 from repro.core.mapping import MappingRelationship
-from repro.faults.breaker import CircuitBreaker
 from repro.faults.retry import RetryPolicy
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "QueueFullError",
     "DeadlineExpiredError",
     "DaemonStoppedError",
-    "CircuitOpenError",
     "ServiceGeneration",
     "DaemonResult",
     "DaemonTicket",
@@ -79,6 +78,10 @@ __all__ = [
 #: ``cluster_lookup`` is the raw index-lookup kind used by the scatter-gather
 #: router in :mod:`repro.cluster` to query shard replicas.
 REQUEST_KINDS = ("autofill", "autojoin", "autocorrect", "cluster_lookup")
+
+#: How many retired generations' stats a daemon keeps for
+#: :meth:`SynthesisDaemon.stats_by_generation`; older ones are dropped.
+RETIRED_STATS_KEPT = 8
 
 #: The ``health()["transport"]`` section of an in-process daemon: every counter
 #: zero.  Its keys are the one transport-health key set — the replica server,
@@ -113,7 +116,6 @@ UNREACHABLE_DAEMON_HEALTH = MappingProxyType(
         "queue_depth": 0,
         "queue_size": 0,
         "workers": 0,
-        "breaker": None,
         "requests": None,
         "errors": None,
         "shed": None,
@@ -145,10 +147,6 @@ class DaemonStoppedError(DaemonError):
     """The daemon is stopped (or stopping) and will not serve this batch."""
 
 
-class CircuitOpenError(DaemonError):
-    """The generation's circuit breaker is open: failing fast, not serving."""
-
-
 @dataclass(frozen=True)
 class ServiceGeneration:
     """One immutable served generation: a service plus its provenance.
@@ -163,10 +161,6 @@ class ServiceGeneration:
     source: str = "memory"
     fingerprint: str = ""
     activated_at: float = 0.0
-    #: The generation's circuit breaker (``None`` when breaking is disabled).
-    #: Per-generation on purpose: a hot swap replaces the thing that was
-    #: erroring, so the replacement starts with a clean (closed) breaker.
-    breaker: CircuitBreaker | None = None
 
     @property
     def stats(self) -> ServiceStats:
@@ -265,14 +259,11 @@ class SynthesisDaemon:
     source / fingerprint:
         Provenance recorded on generation 1 (the artifact path and corpus
         fingerprint when constructed via :meth:`from_artifact`).
-    breaker_threshold / breaker_min_requests / breaker_cooldown:
-        Per-generation circuit breaker tuning: once at least
-        ``breaker_min_requests`` recent requests show an error fraction of
-        ``breaker_threshold``, batches fail fast with
-        :class:`CircuitOpenError` until a half-open probe (admitted after
-        ``breaker_cooldown`` seconds) serves cleanly.  ``breaker_threshold=0``
-        (the default) disables breaking — per-request errors are already
-        isolated in response envelopes, so tripping is an operator opt-in.
+
+    The daemon gates nothing on error rates: a malformed request is answered
+    with an error envelope and never affects another client's batches.
+    Routing around a failing replica, and retrying, is the job of
+    :class:`~repro.cluster.ClusterRouter`.
     """
 
     def __init__(
@@ -284,9 +275,6 @@ class SynthesisDaemon:
         default_deadline: float | None = None,
         source: str = "memory",
         fingerprint: str = "",
-        breaker_threshold: float = 0.0,
-        breaker_min_requests: int = 10,
-        breaker_cooldown: float = 1.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -297,22 +285,8 @@ class SynthesisDaemon:
                 f"default_deadline must be >= 0 or None, got {default_deadline}"
             )
         self.workers = workers
-        if breaker_threshold > 1.0:
-            raise ValueError(
-                "breaker_threshold is an error rate and must be <= 1 "
-                f"(<= 0 disables the breaker), got {breaker_threshold}"
-            )
-        if breaker_min_requests < 1:
-            raise ValueError(
-                f"breaker_min_requests must be >= 1, got {breaker_min_requests}"
-            )
-        if breaker_cooldown < 0:
-            raise ValueError(f"breaker_cooldown must be >= 0, got {breaker_cooldown}")
         self.queue_size = queue_size
         self.default_deadline = default_deadline or 0.0
-        self.breaker_threshold = breaker_threshold
-        self.breaker_min_requests = breaker_min_requests
-        self.breaker_cooldown = breaker_cooldown
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._swap_lock = threading.Lock()
         self._pending_lock = threading.Lock()
@@ -330,10 +304,13 @@ class SynthesisDaemon:
         #: its :meth:`~repro.net.TransportStats.snapshot` so :meth:`health`
         #: reports real socket traffic.  ``None`` means in-process serving.
         self.transport_stats_provider = None
-        # Only the retired generations' stats are retained: keeping the full
-        # ServiceGeneration would pin every superseded index in memory for the
-        # daemon's whole lifetime, one per hot reload.
-        self._retired_stats: list[ServiceStats] = []
+        # Only the last few retired generations' stats are retained: keeping
+        # the full ServiceGeneration would pin every superseded index, and
+        # keeping every stats object would grow by four latency windows per
+        # hot reload for the daemon's whole lifetime.
+        self._retired_stats: deque[ServiceStats] = deque(
+            maxlen=RETIRED_STATS_KEPT
+        )
         service.stats.generation = 1
         self._generation = ServiceGeneration(
             service=service,
@@ -341,7 +318,6 @@ class SynthesisDaemon:
             source=source,
             fingerprint=fingerprint,
             activated_at=time.monotonic(),
-            breaker=self._make_breaker(),
         )
         self._threads = [
             threading.Thread(
@@ -351,17 +327,6 @@ class SynthesisDaemon:
         ]
         for thread in self._threads:
             thread.start()
-
-    def _make_breaker(self) -> CircuitBreaker | None:
-        """Build one generation's circuit breaker (``None`` when disabled)."""
-        if self.breaker_threshold <= 0.0:
-            return None
-        return CircuitBreaker(
-            error_threshold=self.breaker_threshold,
-            min_requests=self.breaker_min_requests,
-            cooldown_seconds=self.breaker_cooldown,
-            window=max(128, self.breaker_min_requests),
-        )
 
     # -- Construction -------------------------------------------------------------------
     @classmethod
@@ -376,16 +341,14 @@ class SynthesisDaemon:
         default_deadline: float = 0.0,
         poll_seconds: float = 0.25,
         prefer_curated: bool = True,
-        breaker_threshold: float = 0.0,
         retry_policy: RetryPolicy | None = None,
         service_cls: type[MappingService] = MappingService,
         **service_kwargs,
     ) -> "SynthesisDaemon":
         """Start a daemon serving a persisted artifact, optionally hot-reloading.
 
-        ``workers``, ``queue_size``, ``default_deadline`` and
-        ``breaker_threshold`` are as in the constructor; ``config`` only
-        supplies the default ``retry_policy``
+        ``workers``, ``queue_size`` and ``default_deadline`` are as in the
+        constructor; ``config`` only supplies the default ``retry_policy``
         (:meth:`SynthesisConfig.retry_policy`).  With ``watch=True`` an
         :class:`~repro.serving.watcher.ArtifactWatcher` is attached that
         atomically swaps in every new artifact version published at ``path``
@@ -431,7 +394,6 @@ class SynthesisDaemon:
             default_deadline=default_deadline,
             source=f"artifact:{path}",
             fingerprint=artifact.corpus_fingerprint,
-            breaker_threshold=breaker_threshold,
         )
         if watch:
 
@@ -477,7 +439,10 @@ class SynthesisDaemon:
         return self._generation.service.stats
 
     def stats_by_generation(self) -> list[ServiceStats]:
-        """Stats for every generation ever served, oldest first."""
+        """Stats of the last retired generations and the live one, oldest first.
+
+        At most :data:`RETIRED_STATS_KEPT` retired generations are kept.
+        """
         with self._swap_lock:
             return [*self._retired_stats, self._generation.stats]
 
@@ -492,20 +457,16 @@ class SynthesisDaemon:
     def health(self) -> dict[str, object]:
         """One JSON-able snapshot of everything an operator needs to page on.
 
-        ``status`` is ``"ok"`` unless some degradation is live — breaker not
-        closed, watcher pinned on a poisoned artifact or mid-retry, or the
-        daemon closed — in which case it is ``"degraded"`` (``"closed"`` once
+        ``status`` is ``"ok"`` unless some degradation is live — watcher
+        pinned on a poisoned artifact or mid-retry, or the daemon closed —
+        in which case it is ``"degraded"`` (``"closed"`` once
         the daemon stopped) and the contributing conditions are listed in
         ``degraded_reasons``.  Every
         field reflects *this instant*; poll it, don't cache it.
         """
         generation = self._generation
         stats = generation.stats
-        breaker = generation.breaker
         reasons: list[str] = []
-        breaker_state = breaker.state if breaker is not None else "disabled"
-        if breaker_state not in ("closed", "disabled"):
-            reasons.append(f"circuit breaker {breaker_state}")
         watcher = self._watcher
         watcher_info: dict[str, object] | None = None
         if watcher is not None:
@@ -535,8 +496,6 @@ class SynthesisDaemon:
             "queue_depth": self.queue_depth(),
             "queue_size": self.queue_size,
             "workers": self.workers,
-            "breaker": breaker.snapshot() if breaker is not None
-            else {"state": "disabled"},
             "requests": stats_view["requests"],
             "errors": stats_view["errors"],
             "shed": stats_view["shed"],
@@ -584,8 +543,8 @@ class SynthesisDaemon:
 
         The swap is a single reference assignment: batches picked up after it
         see the new generation in full; batches already being served finish on
-        the generation they snapshotted.  The retired generation (and its
-        stats) remains available via :meth:`stats_by_generation`.
+        the generation they snapshotted.  The retired generation's stats
+        remain available via :meth:`stats_by_generation`.
         """
         with self._swap_lock:
             number = self._generation.number + 1
@@ -596,7 +555,6 @@ class SynthesisDaemon:
                 source=source,
                 fingerprint=fingerprint,
                 activated_at=time.monotonic(),
-                breaker=self._make_breaker(),
             )
             retired = self._generation
             self._retired_stats.append(retired.stats)
@@ -617,7 +575,7 @@ class SynthesisDaemon:
         The service's index is spliced from the patched pool under the swap
         lock (unchanged mappings keep their index entries — see
         :meth:`MappingService.with_pool`) and the generation is re-issued with
-        its number, stats and breaker intact: a generation is one artifact
+        its number and stats intact: a generation is one artifact
         version, and a delta repairs it rather than replacing it.  In-flight
         batches still snapshot one consistent service, and observability
         counters keep accumulating.  An update stream's patches carry content
@@ -647,7 +605,7 @@ class SynthesisDaemon:
                     list(by_id.values()), source=current.source
                 )
                 # Transplant the old stats object so request/error counters
-                # (and the breaker window keyed off them) survive the patch.
+                # survive the patch.
                 service.stats = old_service.stats
                 service.stats.index_size = len(service.index)
                 self._generation = replace(current, service=service)
@@ -669,63 +627,17 @@ class SynthesisDaemon:
         deadline: float | None = None,
         block: bool = False,
         timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> DaemonTicket:
         """Enqueue one batch and return its :class:`DaemonTicket`.
 
         Raises :class:`QueueFullError` when the queue is full (immediately with
-        ``block=False``, after ``timeout`` seconds otherwise),
-        :class:`CircuitOpenError` while the generation's breaker is open, and
+        ``block=False``, after ``timeout`` seconds otherwise) and
         :class:`DaemonStoppedError` once the daemon is closed.
-
-        ``retry_policy`` turns shed load into backoff-and-retry: a rejected
-        submission (full queue or open breaker) is re-attempted on the
-        policy's schedule — each retry counted in ``ServiceStats.retried`` —
-        before the rejection finally propagates.
         """
-        if retry_policy is None:
-            return self._submit_once(
-                kind, requests, deadline=deadline, block=block, timeout=timeout
-            )
-        attempt = 0
-        while True:
-            try:
-                return self._submit_once(
-                    kind, requests, deadline=deadline, block=block, timeout=timeout
-                )
-            except (QueueFullError, CircuitOpenError):
-                attempt += 1
-                if attempt > retry_policy.attempts:
-                    raise
-                self._generation.stats.bump("retried")
-                time.sleep(retry_policy.delay(attempt))
-
-    def _submit_once(
-        self,
-        kind: str,
-        requests: Sequence[FillRequest | JoinRequest | CorrectRequest],
-        *,
-        deadline: float | None = None,
-        block: bool = False,
-        timeout: float | None = None,
-    ) -> DaemonTicket:
         if kind not in REQUEST_KINDS:
             raise ValueError(f"unknown request kind {kind!r}; expected {REQUEST_KINDS}")
         if self._closed.is_set():
             raise DaemonStoppedError("daemon is closed; no new batches accepted")
-        generation = self._generation
-        if generation.breaker is not None and generation.breaker.state == "open":
-            # Read-only fast reject: don't even queue a batch the serve-time
-            # gate would refuse.  Half-open probes are admitted here (state is
-            # not "open") and consumed at serve time, where the probe's real
-            # outcome is known.
-            rejections = generation.stats.bump("breaker_rejections")
-            raise CircuitOpenError(
-                f"generation {generation.number}'s circuit breaker is open "
-                f"(error rate {generation.breaker.snapshot()['error_rate']:.2f} "
-                f">= {generation.breaker.error_threshold}); "
-                f"{rejections} batch(es) rejected by the breaker so far"
-            )
         now = time.monotonic()
         if deadline is None:
             # The *default* deadline uses 0-disables semantics (documented on
@@ -841,7 +753,7 @@ class SynthesisDaemon:
         self.close(drain=True)
 
     # -- Worker internals ---------------------------------------------------------------
-    def _fail_ticket(self, ticket: DaemonTicket, error: DaemonError) -> None:
+    def _fail_ticket(self, ticket: DaemonTicket, error: BaseException) -> None:
         if not ticket.future.done():
             ticket.future.set_exception(error)
         with self._pending_lock:
@@ -883,20 +795,6 @@ class SynthesisDaemon:
         # batch — and its generation/fingerprint tags — comes from exactly one
         # consistent service, no matter how many reloads happen meanwhile.
         generation = self._generation
-        breaker = generation.breaker
-        if breaker is not None and not breaker.allow():
-            # The authoritative admission gate: it runs *after* the deadline
-            # check, so an already-expired ticket can never consume the
-            # half-open probe, and on the batch that will actually serve.
-            rejections = generation.stats.bump("breaker_rejections")
-            self._fail_ticket(
-                ticket,
-                CircuitOpenError(
-                    f"generation {generation.number}'s circuit breaker is open; "
-                    f"{rejections} batch(es) rejected by the breaker so far"
-                ),
-            )
-            return
         try:
             responses = getattr(generation.service, ticket.kind)(list(requests))
             result = DaemonResult(
@@ -911,20 +809,8 @@ class SynthesisDaemon:
         except BaseException as exc:  # pragma: no cover - service-level failures
             # MappingService isolates per-request errors in their envelopes, so
             # this only fires on daemon-level bugs; surface them on the ticket.
-            if breaker is not None:
-                # Count the whole batch as errored so a half-open probe that
-                # blew up re-opens the breaker instead of wedging it.
-                if breaker.record(0, len(requests)):
-                    generation.stats.bump("breaker_opened")
-            if not ticket.future.done():
-                ticket.future.set_exception(exc)
-            with self._pending_lock:
-                self._pending.discard(ticket)
+            self._fail_ticket(ticket, exc)
             return
-        if breaker is not None:
-            ok_count = sum(1 for response in responses if response.ok)
-            if breaker.record(ok_count, len(responses) - ok_count):
-                generation.stats.bump("breaker_opened")
         if not ticket.future.done():
             ticket.future.set_result(result)
         with self._pending_lock:

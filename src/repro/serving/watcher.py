@@ -27,18 +27,17 @@ decoded — so a reload candidate is vetted at hashing speed and the swap
 itself only ever decodes the mappings + curation sections it serves.
 
 Failed swaps **degrade gracefully** instead of looping hot or wedging: each
-failure (damaged bytes, load error, callback exception) schedules the next
-unforced retry on the :class:`~repro.faults.RetryPolicy`'s backoff, and once
-the budget is exhausted the watcher *pins* the current on-disk version as
+failure (damaged bytes, load error, callback exception) backs off unforced
+retries of *that* version on the :class:`~repro.faults.RetryPolicy`'s
+schedule, and once the budget is exhausted the watcher *pins* it as
 poisoned — the daemon keeps serving the last good generation, the condition
 is reported through :meth:`ArtifactWatcher.health` (and the daemon's
-``health()``), and the next *new* publish is still tried, so recovery is
-automatic the moment a good artifact lands.  The in-process publish hook
-clears the backoff, so a publisher we just heard from gets an immediate
-look; ``check_now(force=True)`` goes further and reloads even an unchanged
-signature.  When a :class:`~repro.faults.FaultInjector` is active, the
-watcher is also a chaos hook point: reload candidates can be deterministically
-treated as failed publishes or fed corrupted bytes.
+``health()``), and the next *new* publish, from this process or another, is
+tried the moment it is seen, so recovery is automatic the moment a good
+artifact lands.  ``check_now(force=True)`` reloads even an unchanged or
+backed-off signature.  When a :class:`~repro.faults.FaultInjector` is
+active, the watcher is also a chaos hook point: reload candidates can be
+deterministically treated as failed publishes or fed corrupted bytes.
 """
 
 from __future__ import annotations
@@ -107,7 +106,10 @@ class ArtifactWatcher:
         #: exhausted — that exact file state is never retried, but any *new*
         #: publish (different signature) is, so recovery is automatic.
         self._pinned_signature: tuple[int, int, int] | None = None
-        #: Monotonic instant before which unforced checks skip (backoff).
+        #: The signature of the version that last failed, and the monotonic
+        #: instant before which unforced checks skip it (backoff).  Any other
+        #: signature is a new publish and is tried at once.
+        self._failed_signature: tuple[int, int, int] | None = None
         self._retry_at = 0.0
         self._on_artifact = on_artifact
         # The baseline is the signature of the version the caller has already
@@ -159,7 +161,7 @@ class ArtifactWatcher:
 
         Returns True when a new version was handed to the callback.  ``force``
         reloads even if the file signature looks unchanged and bypasses the
-        failure backoff.  Failures never propagate: they are counted,
+        failed version's backoff.  Failures never propagate: they are counted,
         backed off, eventually pinned, and reported via :meth:`health`.
         """
         with self._check_lock:
@@ -172,7 +174,11 @@ class ArtifactWatcher:
                 # This exact file state exhausted its retry budget; only a new
                 # publish (which changes the signature) is worth another try.
                 return False
-            if not force and time.monotonic() < self._retry_at:
+            if (
+                not force
+                and signature == self._failed_signature
+                and time.monotonic() < self._retry_at
+            ):
                 return False
             injector = active_injector()
             load_started = time.perf_counter()
@@ -226,6 +232,7 @@ class ArtifactWatcher:
             # has a different signature and is tried (once, while the storm
             # lasts) the moment it lands.
             self._pinned_signature = signature
+        self._failed_signature = signature
         self._retry_at = time.monotonic() + self.retry_policy.delay(
             min(self.consecutive_failures, self.retry_policy.attempts + 1)
         )
@@ -276,13 +283,8 @@ class ArtifactWatcher:
 
     def _run(self) -> None:
         while True:
-            published = self._wake.wait(self.poll_seconds)
+            self._wake.wait(self.poll_seconds)
             self._wake.clear()
             if self._stop.is_set():
                 return
-            if published:
-                # The new file has a new signature, so an ordinary check loads
-                # it; only the backoff left by an earlier failed version goes.
-                with self._check_lock:
-                    self._retry_at = 0.0
             self.check_now()

@@ -21,9 +21,9 @@ consistent for a served corpus:
 4. **Live serving.**  The patch fans out to an attached
    :class:`~repro.serving.SynthesisDaemon` and/or
    :class:`~repro.cluster.ClusterRouter` via their ``apply_delta``, which
-   splices it into the served index in place: the generation number, stats
-   and breaker stay, because a generation is one artifact version and a
-   streamed patch repairs it.  The fan-out happens even when the journal
+   splices it into the served index in place: the generation number and
+   stats stay, because a generation is one artifact version and a streamed
+   patch repairs it.  The fan-out happens even when the journal
    write fails: the engine has already moved on and later patches are diffs
    against its state, so a serving tier that missed one patch would stay
    wrong.

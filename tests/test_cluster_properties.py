@@ -225,7 +225,9 @@ def test_rolling_rollout_of_same_artifact_is_invisible(
 
 
 def test_replicas_implement_the_replica_protocol(router):
-    """Inproc daemons and tcp clients both take every Replica call as declared."""
+    """Inproc daemons and tcp clients both take every Replica call as declared,
+    and ``submit`` takes nothing else: a parameter only one transport honours
+    cannot creep back in."""
     for replica in router.replicas:
         assert isinstance(replica.daemon, Replica)
         for name in ("submit", "apply_delta", "await_generation", "health", "close"):
@@ -234,6 +236,8 @@ def test_replicas_implement_the_replica_protocol(router):
             for param in declared.values():
                 assert param.name in actual, (type(replica.daemon), name, param)
                 assert actual[param.name].kind == param.kind
+            if name == "submit":
+                assert list(actual) == list(declared), type(replica.daemon)
 
 
 def test_rollout_without_watchers_recuts_and_does_not_wait(

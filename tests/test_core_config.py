@@ -116,13 +116,9 @@ class TestComponentOwnedSettings:
             (
                 SynthesisDaemon.from_artifact,
                 {"workers": 1, "queue_size": 64, "default_deadline": 0.0,
-                 "poll_seconds": 0.25, "breaker_threshold": 0.0},
+                 "poll_seconds": 0.25},
             ),
-            (
-                SynthesisDaemon,
-                {"workers": 1, "queue_size": 64, "breaker_threshold": 0.0,
-                 "breaker_min_requests": 10, "breaker_cooldown": 1.0},
-            ),
+            (SynthesisDaemon, {"workers": 1, "queue_size": 64}),
             (
                 ClusterRouter.from_artifact,
                 {"replication": 2, "request_timeout": 30.0, "transport": "inproc",
@@ -166,9 +162,6 @@ class TestComponentOwnedSettings:
             {"workers": 0},
             {"queue_size": 0},
             {"default_deadline": -1.0},
-            {"breaker_threshold": 1.5},
-            {"breaker_min_requests": 0},
-            {"breaker_cooldown": -1.0},
         ],
     )
     def test_daemon_range_checks(self, kwargs):

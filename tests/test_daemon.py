@@ -14,6 +14,7 @@ Covers the daemon invariants that only show up under concurrency:
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -38,6 +39,7 @@ from repro.serving import (
     QueueFullError,
     SynthesisDaemon,
 )
+from repro.serving.daemon import RETIRED_STATS_KEPT
 
 pytestmark = pytest.mark.daemon
 
@@ -429,6 +431,22 @@ class TestHotReload:
         finally:
             daemon.close()
 
+    def test_retired_stats_are_bounded(self):
+        """A long-lived daemon keeps only the last few retired generations' stats."""
+        daemon = SynthesisDaemon(seed_service(), workers=1)
+        try:
+            for _ in range(RETIRED_STATS_KEPT + 5):
+                daemon.reload(seed_service(), source="swap")
+            kept = daemon.stats_by_generation()
+            assert len(kept) == RETIRED_STATS_KEPT + 1
+            assert kept[-1] is daemon.stats
+            last = RETIRED_STATS_KEPT + 6
+            assert [stats.generation for stats in kept] == list(
+                range(last - RETIRED_STATS_KEPT, last + 1)
+            )
+        finally:
+            daemon.close()
+
     def test_await_generation_returns_the_generation_reached(self):
         daemon = SynthesisDaemon(seed_service(), workers=1)
         try:
@@ -634,6 +652,57 @@ class TestArtifactWatcher:
         assert watcher.check_now(force=True) is True  # retried and succeeded
         assert watcher.reloads == 1
         assert len(calls) == 2
+
+    def _backoff_watcher(self, store_corpus, tmp_path):
+        """A published artifact, a valid spare copy, and a watcher driven by
+        hand: no publish hook, no poll in the test's lifetime, and a 30 s
+        backoff after a failed version."""
+        from repro.faults import RetryPolicy
+        from repro.serving import ArtifactWatcher
+
+        path = tmp_path / "served.artifact.gz"
+        spare = tmp_path / "spare.artifact.gz"
+        pipeline = SynthesisPipeline(_store_config())
+        pipeline.run(store_corpus)
+        pipeline.save_artifact(path)
+        seen = []
+        watcher = ArtifactWatcher(
+            path,
+            lambda artifact, p: seen.append(artifact),
+            poll_seconds=60.0,
+            subscribe=False,
+            retry_policy=RetryPolicy(
+                attempts=3, base_seconds=30.0, max_seconds=30.0, jitter=0.0
+            ),
+        )
+        garbage = tmp_path / "garbage"
+        garbage.write_bytes(b"not an artifact at all")
+        os.replace(garbage, path)
+        assert watcher.check_now() is False
+        assert watcher.health()["retry_in_seconds"] > 20.0
+        return watcher, pipeline, path, spare, seen
+
+    def test_backoff_holds_only_the_failed_version(self, store_corpus, tmp_path):
+        """A good artifact another process publishes mid-backoff loads at once."""
+        watcher, pipeline, path, spare, seen = self._backoff_watcher(
+            store_corpus, tmp_path
+        )
+        pipeline.save_artifact(spare)
+        os.replace(spare, path)
+        assert watcher.check_now() is True
+        assert len(seen) == 1
+        assert watcher.health()["retry_in_seconds"] == 0.0
+
+    def test_failed_version_stays_backed_off(self, store_corpus, tmp_path):
+        """The version that failed is not re-read until its backoff passes."""
+        watcher, _pipeline, _path, _spare, seen = self._backoff_watcher(
+            store_corpus, tmp_path
+        )
+        assert watcher.check_now() is False
+        assert watcher.skipped == 1  # the second check did not even load it
+        assert watcher.check_now(force=True) is False  # force re-reads it
+        assert watcher.skipped == 2
+        assert seen == []
 
     def test_damaged_artifact_is_never_swapped_in(self, store_corpus, tmp_path):
         path = tmp_path / "served.artifact.gz"

@@ -19,6 +19,7 @@ from repro.net import TRANSPORT_HEALTH_KEYS
 from repro.net.client import RemoteReplica
 from repro.net.server import serve_shard
 from repro.serving import SynthesisDaemon
+from repro.serving.daemon import UNREACHABLE_DAEMON_HEALTH
 
 pytestmark = pytest.mark.cluster
 
@@ -31,7 +32,6 @@ DAEMON_HEALTH_KEYS = {
     "queue_depth",
     "queue_size",
     "workers",
-    "breaker",
     "requests",
     "errors",
     "shed",
@@ -124,6 +124,11 @@ def test_daemon_and_watcher_health_schema(artifact_path):
         # zeros) so dashboards need no per-transport key-set special case.
         assert set(health["transport"]) == TRANSPORT_KEYS
         assert health["transport"]["kind"] == "inproc"
+
+
+def test_unreachable_view_is_the_daemon_key_set():
+    # A replica that cannot be reached reports exactly the daemon's keys.
+    assert set(UNREACHABLE_DAEMON_HEALTH) == DAEMON_HEALTH_KEYS
 
 
 def test_transport_golden_matches_codec_constant():

@@ -9,7 +9,7 @@ pipeline rebuild** over the updated corpus — including with one replica killed
 mid-stream (replication 2 keeps every shard covered).
 
 Also covers the in-place splice (a patch of any size keeps the generation
-number, stats and breaker) and delta rejection on a closed daemon.
+number and stats) and delta rejection on a closed daemon.
 """
 
 from __future__ import annotations
@@ -116,11 +116,10 @@ def test_small_patch_applies_in_place(base_corpus, tmp_path):
         patch = stream.apply(DELTA_CATALOG[0])
         assert not patch.is_empty
 
-        # In-place: same generation number, stats and breaker, patched pool,
-        # counted in health.
+        # In-place: same generation number and stats, patched pool, counted
+        # in health.
         assert daemon.generation.number == generation_before.number
         assert daemon.generation.stats is generation_before.stats
-        assert daemon.generation.breaker is generation_before.breaker
         health = daemon.health()
         assert health["deltas_applied"] == 1
         assert health["last_delta_seq"] == 1
@@ -150,7 +149,6 @@ def test_oversized_patch_splices_in_place(base_corpus, tmp_path):
 
         assert daemon.generation.number == generation_before.number
         assert daemon.generation.stats is generation_before.stats
-        assert daemon.generation.breaker is generation_before.breaker
         assert daemon.health()["deltas_applied"] == 1
         assert_serves_like(daemon, cold_oracle(engine.corpus))
     finally:
